@@ -175,7 +175,8 @@ impl HistogramSnapshot {
     /// scalar aggregates — the JSON wire form.
     ///
     /// # Errors
-    /// Rejects out-of-range bucket indexes and count mismatches.
+    /// Rejects out-of-range bucket indexes and counts that overflow
+    /// `u64`.
     pub fn from_sparse(
         pairs: &[(usize, u64)],
         sum: u64,
@@ -188,8 +189,10 @@ impl HistogramSnapshot {
             if i >= N_BUCKETS {
                 return Err(format!("bucket index {i} out of range"));
             }
-            counts[i] += c;
-            count += c;
+            // Counts come from outside input (a parsed snapshot).
+            let overflow = || format!("bucket counts overflow u64 at bucket {i}");
+            counts[i] = counts[i].checked_add(c).ok_or_else(overflow)?;
+            count = count.checked_add(c).ok_or_else(overflow)?;
         }
         if count == 0 {
             return Ok(Self::default());

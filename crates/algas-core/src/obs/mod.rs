@@ -8,8 +8,9 @@
 //!   counters and log-linear (HDR-style) latency histograms, both
 //!   lock-free and allocation-free to record.
 //! * [`snapshot`] — [`RuntimeStats`], the point-in-time schema shared
-//!   by the threaded runtime and the timing simulators, with JSON and
-//!   Prometheus text serializers (and a JSON parser to validate them).
+//!   by the threaded runtime and the timing simulators. One table row
+//!   per metric drives its JSON serializer and parser and its
+//!   Prometheus text rendering.
 //! * [`recorder`] — the hot-path instrumentation
 //!   ([`RuntimeObs`], [`JobStamps`]). Behind the default-on `obs`
 //!   feature: compiled out, both become zero-sized no-ops and no clock

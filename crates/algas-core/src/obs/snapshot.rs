@@ -10,13 +10,17 @@
 //! native runs are directly comparable.
 //!
 //! Serialization is hand-rolled over [`super::json`] and
-//! [`super::prom`] (the hermetic workspace has no `serde_json`):
-//! `to_json` / `from_json` round-trip exactly, and `to_prometheus`
-//! emits text exposition format v0.0.4.
+//! [`super::prom`] (the hermetic workspace has no `serde_json`) and
+//! declared once per metric: a metric is one row of `field_tables!`
+//! (JSON key, whether older snapshots may lack it, Prometheus family),
+//! and `to_json`, `from_json` and `to_prometheus` all walk `BLOCKS`,
+//! the document's top-level entries in exposition order. `to_json` /
+//! `from_json` round-trip exactly; `to_prometheus` emits text
+//! exposition format v0.0.4.
 
 use super::flight::FlightTotals;
 use super::hist::HistogramSnapshot;
-use super::json::{obj, Value};
+use super::json::Value;
 use super::prof::{ProfStateCount, ProfStats, ProfThreadStats};
 use super::prom::PromWriter;
 use super::qlog::QlogTotals;
@@ -244,547 +248,25 @@ impl RuntimeStats {
     /// `BENCH_serve.json` wire form; [`RuntimeStats::from_json`] is its
     /// exact inverse).
     pub fn to_json(&self) -> String {
-        let hist = |h: &HistogramSnapshot| {
-            let (p50, p95, p99, p999) = h.percentiles();
-            obj(vec![
-                ("count", Value::Uint(h.count)),
-                ("sum", Value::Uint(h.sum)),
-                ("min", Value::Uint(h.min)),
-                ("max", Value::Uint(h.max)),
-                ("p50", Value::Uint(p50)),
-                ("p95", Value::Uint(p95)),
-                ("p99", Value::Uint(p99)),
-                ("p999", Value::Uint(p999)),
-                (
-                    "buckets",
-                    Value::Arr(
-                        h.sparse()
-                            .into_iter()
-                            .map(|(i, c)| Value::Arr(vec![Value::Uint(i as u64), Value::Uint(c)]))
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
-        let doc = obj(vec![
-            (
-                "config",
-                obj(vec![
-                    ("n_slots", Value::Uint(self.n_slots as u64)),
-                    ("n_workers", Value::Uint(self.n_workers as u64)),
-                    ("n_host_threads", Value::Uint(self.n_host_threads as u64)),
-                ]),
-            ),
-            (
-                "queries",
-                obj(vec![
-                    ("submitted", Value::Uint(self.submitted)),
-                    ("completed", Value::Uint(self.completed)),
-                    ("rejected_queue_full", Value::Uint(self.rejected_queue_full)),
-                ]),
-            ),
-            (
-                "gauges",
-                obj(vec![
-                    ("queue_depth", Value::Uint(self.queue_depth)),
-                    ("slots_occupied", Value::Uint(self.slots_occupied)),
-                    ("base_bytes", Value::Uint(self.base_bytes)),
-                    ("quant_bytes", Value::Uint(self.quant_bytes)),
-                ]),
-            ),
-            (
-                "workers",
-                Value::Arr(
-                    self.per_worker
-                        .iter()
-                        .map(|w| {
-                            obj(vec![
-                                ("queries", Value::Uint(w.queries)),
-                                ("busy_passes", Value::Uint(w.busy_passes)),
-                                ("idle_passes", Value::Uint(w.idle_passes)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "hosts",
-                Value::Arr(
-                    self.per_host
-                        .iter()
-                        .map(|h| {
-                            obj(vec![
-                                ("delivered", Value::Uint(h.delivered)),
-                                ("refills", Value::Uint(h.refills)),
-                                ("busy_passes", Value::Uint(h.busy_passes)),
-                                ("idle_passes", Value::Uint(h.idle_passes)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "slots",
-                Value::Arr(
-                    self.per_slot
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("assigned", Value::Uint(s.assigned)),
-                                ("finished", Value::Uint(s.finished)),
-                                ("delivered", Value::Uint(s.delivered)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "phases",
-                Value::Obj(
-                    self.phases
-                        .named()
-                        .into_iter()
-                        .map(|(name, h)| (name.to_string(), hist(h)))
-                        .collect(),
-                ),
-            ),
-            (
-                "search",
-                obj(vec![
-                    ("steps", Value::Uint(self.search.steps)),
-                    ("expansions", Value::Uint(self.search.expansions)),
-                    ("dist_evals", Value::Uint(self.search.dist_evals)),
-                    ("sorts", Value::Uint(self.search.sorts)),
-                    ("calc_cycles", Value::Uint(self.search.calc_cycles)),
-                    ("sort_cycles", Value::Uint(self.search.sort_cycles)),
-                    ("other_cycles", Value::Uint(self.search.other_cycles)),
-                    ("entry_dist_milli_total", Value::Uint(self.entry_dist_milli_total)),
-                    // Derived; emitted for consumers, ignored on parse.
-                    ("sort_fraction", Value::Num(self.search.sort_fraction())),
-                    ("hops_per_query", Value::Num(self.hops_per_query())),
-                    ("mean_entry_distance", Value::Num(self.mean_entry_distance())),
-                ]),
-            ),
-            (
-                "rerank",
-                obj(vec![
-                    ("reranks", Value::Uint(self.rerank.reranks)),
-                    ("candidates", Value::Uint(self.rerank.candidates)),
-                    ("promotions", Value::Uint(self.rerank.promotions)),
-                ]),
-            ),
-            (
-                "merge",
-                obj(vec![
-                    ("merges", Value::Uint(self.merge.merges)),
-                    ("elements", Value::Uint(self.merge.elements)),
-                    ("dupes_dropped", Value::Uint(self.merge.dupes_dropped)),
-                ]),
-            ),
-            (
-                "flight",
-                obj(vec![
-                    ("completions", Value::Uint(self.flight.completions)),
-                    ("events", Value::Uint(self.flight.events)),
-                    ("retained", Value::Uint(self.flight.retained)),
-                ]),
-            ),
-            (
-                "control",
-                obj(vec![
-                    ("enabled", Value::Bool(self.control.enabled)),
-                    ("slo_ns", Value::Uint(self.control.slo_ns)),
-                    ("level", Value::Uint(u64::from(self.control.level))),
-                    ("max_level", Value::Uint(u64::from(self.control.max_level))),
-                    ("beam_width", Value::Uint(self.control.beam_width)),
-                    ("offset_beam", Value::Uint(self.control.offset_beam)),
-                    ("rerank_depth", Value::Uint(self.control.rerank_depth)),
-                    ("n_ctas", Value::Uint(self.control.n_ctas)),
-                    ("ticks", Value::Uint(self.control.ticks)),
-                    ("sheds", Value::Uint(self.control.sheds)),
-                    ("restores", Value::Uint(self.control.restores)),
-                    ("holds", Value::Uint(self.control.holds)),
-                    ("last_p99_ns", Value::Uint(self.control.last_p99_ns)),
-                    ("last_reason", Value::Str(self.control.last_reason.clone())),
-                ]),
-            ),
-            (
-                "net",
-                obj(vec![
-                    ("connections_accepted", Value::Uint(self.net.connections_accepted)),
-                    ("connections_closed", Value::Uint(self.net.connections_closed)),
-                    ("frames_in", Value::Uint(self.net.frames_in)),
-                    ("frames_out", Value::Uint(self.net.frames_out)),
-                    ("bytes_in", Value::Uint(self.net.bytes_in)),
-                    ("bytes_out", Value::Uint(self.net.bytes_out)),
-                    ("protocol_errors", Value::Uint(self.net.protocol_errors)),
-                    ("backpressure_rejects", Value::Uint(self.net.backpressure_rejects)),
-                ]),
-            ),
-            (
-                "net_conns",
-                Value::Arr(
-                    self.net_conns
-                        .iter()
-                        .map(|c| {
-                            obj(vec![
-                                ("id", Value::Uint(c.id)),
-                                ("inflight", Value::Uint(c.inflight)),
-                                ("bytes_in", Value::Uint(c.bytes_in)),
-                                ("bytes_out", Value::Uint(c.bytes_out)),
-                                ("backlog_high_water", Value::Uint(c.backlog_high_water)),
-                                ("errors", Value::Uint(c.errors)),
-                                ("retry_afters", Value::Uint(c.retry_afters)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "net_closed",
-                obj(vec![
-                    ("bytes_in", Value::Uint(self.net_closed.bytes_in)),
-                    ("bytes_out", Value::Uint(self.net_closed.bytes_out)),
-                    ("errors", Value::Uint(self.net_closed.errors)),
-                    ("retry_afters", Value::Uint(self.net_closed.retry_afters)),
-                ]),
-            ),
-            ("conn_series_max", Value::Uint(self.conn_series_max)),
-            ("retry_backoff_us", hist(&self.retry_backoff)),
-            (
-                "qlog",
-                obj(vec![
-                    ("logged", Value::Uint(self.qlog.logged)),
-                    ("dropped", Value::Uint(self.qlog.dropped)),
-                    ("drained", Value::Uint(self.qlog.drained)),
-                ]),
-            ),
-            (
-                "exemplar",
-                obj(vec![
-                    ("e2e_ns", Value::Uint(self.exemplar.e2e_ns)),
-                    ("request_id", Value::Uint(self.exemplar.request_id)),
-                ]),
-            ),
-            (
-                "window",
-                obj(vec![
-                    ("period_ms", Value::Uint(self.window.period_ms)),
-                    ("slots", Value::Uint(self.window.slots)),
-                    ("slo_ns", Value::Uint(self.window.slo_ns)),
-                    ("health", Value::Str(self.window.health.clone())),
-                    (
-                        "windows",
-                        Value::Arr(
-                            self.window
-                                .windows
-                                .iter()
-                                .map(|wd| {
-                                    obj(vec![
-                                        ("target_s", Value::Uint(wd.target_s)),
-                                        ("span_ms", Value::Uint(wd.span_ms)),
-                                        ("completed", Value::Uint(wd.completed)),
-                                        ("submitted", Value::Uint(wd.submitted)),
-                                        ("p50_ns", Value::Uint(wd.p50_ns)),
-                                        ("p99_ns", Value::Uint(wd.p99_ns)),
-                                        ("max_ns", Value::Uint(wd.max_ns)),
-                                        ("attainment_ppm", Value::Uint(wd.attainment_ppm)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "prof",
-                obj(vec![
-                    ("hz", Value::Uint(u64::from(self.prof.hz))),
-                    ("passes", Value::Uint(self.prof.passes)),
-                    (
-                        "threads",
-                        Value::Arr(
-                            self.prof
-                                .threads
-                                .iter()
-                                .map(|t| {
-                                    obj(vec![
-                                        ("kind", Value::Str(t.kind.clone())),
-                                        ("label", Value::Str(t.label.clone())),
-                                        (
-                                            "states",
-                                            Value::Arr(
-                                                t.states
-                                                    .iter()
-                                                    .map(|sc| {
-                                                        obj(vec![
-                                                            ("state", Value::Str(sc.state.clone())),
-                                                            ("samples", Value::Uint(sc.samples)),
-                                                        ])
-                                                    })
-                                                    .collect(),
-                                            ),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-        ]);
-        doc.render()
+        Value::Obj(BLOCKS.iter().map(|b| (b.key.to_string(), (b.json)(self))).collect()).render()
     }
 
-    /// Parses the JSON produced by [`RuntimeStats::to_json`].
+    /// Parses the JSON produced by [`RuntimeStats::to_json`]. Blocks and
+    /// fields added after a snapshot was written parse as their
+    /// defaults.
     ///
     /// # Errors
-    /// Malformed JSON or missing/mistyped fields.
+    /// Malformed JSON, missing/mistyped fields, or inconsistent
+    /// histograms.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = Value::parse(text)?;
-        let u = |v: &Value, key: &str| -> Result<u64, String> {
-            v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing field `{key}`"))
-        };
-        let hist = |v: &Value| -> Result<HistogramSnapshot, String> {
-            let pairs: Vec<(usize, u64)> = v
-                .get("buckets")
-                .and_then(Value::as_arr)
-                .ok_or("missing `buckets`")?
-                .iter()
-                .map(|pair| -> Result<(usize, u64), String> {
-                    let pair = pair.as_arr().ok_or("bucket entry not a pair")?;
-                    match pair {
-                        [i, c] => Ok((
-                            i.as_u64().ok_or("bad bucket index")? as usize,
-                            c.as_u64().ok_or("bad bucket count")?,
-                        )),
-                        _ => Err("bucket entry not a pair".into()),
-                    }
-                })
-                .collect::<Result<_, _>>()?;
-            let snap =
-                HistogramSnapshot::from_sparse(&pairs, u(v, "sum")?, u(v, "min")?, u(v, "max")?)?;
-            if snap.count != u(v, "count")? {
-                return Err("histogram count disagrees with buckets".into());
+        let mut out = Self::default();
+        for b in BLOCKS {
+            match doc.get(b.key) {
+                Some(v) => (b.parse)(&mut out, v).map_err(|e| format!("`{}`: {e}", b.key))?,
+                None if b.optional => {}
+                None => return Err(format!("missing `{}`", b.key)),
             }
-            Ok(snap)
-        };
-        let cfg = doc.get("config").ok_or("missing `config`")?;
-        let queries = doc.get("queries").ok_or("missing `queries`")?;
-        let gauges = doc.get("gauges").ok_or("missing `gauges`")?;
-        let mut out = RuntimeStats {
-            n_slots: u(cfg, "n_slots")? as usize,
-            n_workers: u(cfg, "n_workers")? as usize,
-            n_host_threads: u(cfg, "n_host_threads")? as usize,
-            submitted: u(queries, "submitted")?,
-            completed: u(queries, "completed")?,
-            rejected_queue_full: u(queries, "rejected_queue_full")?,
-            queue_depth: u(gauges, "queue_depth")?,
-            slots_occupied: u(gauges, "slots_occupied")?,
-            // Absent in pre-SQ8 snapshots; those parse as 0.
-            base_bytes: gauges.get("base_bytes").and_then(Value::as_u64).unwrap_or(0),
-            quant_bytes: gauges.get("quant_bytes").and_then(Value::as_u64).unwrap_or(0),
-            ..Self::default()
-        };
-        for w in doc.get("workers").and_then(Value::as_arr).ok_or("missing `workers`")? {
-            out.per_worker.push(WorkerStats {
-                queries: u(w, "queries")?,
-                busy_passes: u(w, "busy_passes")?,
-                idle_passes: u(w, "idle_passes")?,
-            });
-        }
-        for h in doc.get("hosts").and_then(Value::as_arr).ok_or("missing `hosts`")? {
-            out.per_host.push(HostStats {
-                delivered: u(h, "delivered")?,
-                refills: u(h, "refills")?,
-                busy_passes: u(h, "busy_passes")?,
-                idle_passes: u(h, "idle_passes")?,
-            });
-        }
-        for s in doc.get("slots").and_then(Value::as_arr).ok_or("missing `slots`")? {
-            out.per_slot.push(SlotStats {
-                assigned: u(s, "assigned")?,
-                finished: u(s, "finished")?,
-                delivered: u(s, "delivered")?,
-            });
-        }
-        let phases = doc.get("phases").ok_or("missing `phases`")?;
-        for (name, slot) in out.phases.named_mut() {
-            *slot = hist(phases.get(name).ok_or_else(|| format!("missing phase `{name}`"))?)?;
-        }
-        let search = doc.get("search").ok_or("missing `search`")?;
-        out.search = StepTotals {
-            steps: u(search, "steps")?,
-            expansions: u(search, "expansions")?,
-            dist_evals: u(search, "dist_evals")?,
-            sorts: u(search, "sorts")?,
-            calc_cycles: u(search, "calc_cycles")?,
-            sort_cycles: u(search, "sort_cycles")?,
-            other_cycles: u(search, "other_cycles")?,
-        };
-        // Absent in snapshots written before entry telemetry existed.
-        out.entry_dist_milli_total =
-            search.get("entry_dist_milli_total").and_then(Value::as_u64).unwrap_or(0);
-        // Absent in snapshots written before the SQ8 subsystem existed;
-        // those parse with zeroed rerank totals.
-        if let Some(rerank) = doc.get("rerank") {
-            out.rerank = RerankStats {
-                reranks: u(rerank, "reranks")?,
-                candidates: u(rerank, "candidates")?,
-                promotions: u(rerank, "promotions")?,
-            };
-        }
-        let merge = doc.get("merge").ok_or("missing `merge`")?;
-        out.merge = MergeStats {
-            merges: u(merge, "merges")?,
-            elements: u(merge, "elements")?,
-            dupes_dropped: u(merge, "dupes_dropped")?,
-        };
-        // Absent in snapshots written before the flight recorder
-        // existed; those parse with zeroed totals.
-        if let Some(flight) = doc.get("flight") {
-            out.flight = FlightTotals {
-                completions: u(flight, "completions")?,
-                events: u(flight, "events")?,
-                retained: u(flight, "retained")?,
-            };
-        }
-        // Absent in snapshots written before the SLO controller
-        // existed; those parse with the inert default.
-        if let Some(c) = doc.get("control") {
-            out.control = ControlStats {
-                enabled: matches!(c.get("enabled"), Some(Value::Bool(true))),
-                slo_ns: u(c, "slo_ns")?,
-                level: u(c, "level")? as u32,
-                max_level: u(c, "max_level")? as u32,
-                beam_width: u(c, "beam_width")?,
-                offset_beam: u(c, "offset_beam")?,
-                rerank_depth: u(c, "rerank_depth")?,
-                // Absent before the CTA-shedding rungs existed.
-                n_ctas: if c.get("n_ctas").is_some() { u(c, "n_ctas")? } else { 0 },
-                ticks: u(c, "ticks")?,
-                sheds: u(c, "sheds")?,
-                restores: u(c, "restores")?,
-                holds: u(c, "holds")?,
-                last_p99_ns: u(c, "last_p99_ns")?,
-                last_reason: c
-                    .get("last_reason")
-                    .and_then(Value::as_str)
-                    .unwrap_or("init")
-                    .to_string(),
-            };
-        }
-        // Absent in snapshots written before the network front end
-        // existed; those parse with zeroed net counters.
-        if let Some(n) = doc.get("net") {
-            out.net = NetStats {
-                connections_accepted: u(n, "connections_accepted")?,
-                connections_closed: u(n, "connections_closed")?,
-                frames_in: u(n, "frames_in")?,
-                frames_out: u(n, "frames_out")?,
-                bytes_in: u(n, "bytes_in")?,
-                bytes_out: u(n, "bytes_out")?,
-                protocol_errors: u(n, "protocol_errors")?,
-                backpressure_rejects: u(n, "backpressure_rejects")?,
-            };
-        }
-        // Everything below is absent in snapshots written before the
-        // cross-layer observability work; those parse with defaults.
-        if let Some(conns) = doc.get("net_conns").and_then(Value::as_arr) {
-            for c in conns {
-                out.net_conns.push(ConnStats {
-                    id: u(c, "id")?,
-                    inflight: u(c, "inflight")?,
-                    bytes_in: u(c, "bytes_in")?,
-                    bytes_out: u(c, "bytes_out")?,
-                    backlog_high_water: u(c, "backlog_high_water")?,
-                    errors: u(c, "errors")?,
-                    retry_afters: u(c, "retry_afters")?,
-                });
-            }
-        }
-        if let Some(b) = doc.get("retry_backoff_us") {
-            out.retry_backoff = hist(b)?;
-        }
-        if let Some(q) = doc.get("qlog") {
-            out.qlog = QlogTotals {
-                logged: u(q, "logged")?,
-                dropped: u(q, "dropped")?,
-                drained: u(q, "drained")?,
-            };
-        }
-        if let Some(e) = doc.get("exemplar") {
-            out.exemplar =
-                TailExemplar { e2e_ns: u(e, "e2e_ns")?, request_id: u(e, "request_id")? };
-        }
-        if let Some(nc) = doc.get("net_closed") {
-            out.net_closed = ClosedConnTotals {
-                bytes_in: u(nc, "bytes_in")?,
-                bytes_out: u(nc, "bytes_out")?,
-                errors: u(nc, "errors")?,
-                retry_afters: u(nc, "retry_afters")?,
-            };
-        }
-        out.conn_series_max = doc.get("conn_series_max").and_then(Value::as_u64).unwrap_or(0);
-        if let Some(wb) = doc.get("window") {
-            out.window = WindowBlock {
-                period_ms: u(wb, "period_ms")?,
-                slots: u(wb, "slots")?,
-                slo_ns: u(wb, "slo_ns")?,
-                health: wb.get("health").and_then(Value::as_str).unwrap_or("").to_string(),
-                windows: wb
-                    .get("windows")
-                    .and_then(Value::as_arr)
-                    .ok_or("missing `window.windows`")?
-                    .iter()
-                    .map(|wd| -> Result<WindowStats, String> {
-                        Ok(WindowStats {
-                            target_s: u(wd, "target_s")?,
-                            span_ms: u(wd, "span_ms")?,
-                            completed: u(wd, "completed")?,
-                            submitted: u(wd, "submitted")?,
-                            p50_ns: u(wd, "p50_ns")?,
-                            p99_ns: u(wd, "p99_ns")?,
-                            max_ns: u(wd, "max_ns")?,
-                            attainment_ppm: u(wd, "attainment_ppm")?,
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-        }
-        if let Some(p) = doc.get("prof") {
-            out.prof = ProfStats {
-                hz: u(p, "hz")? as u32,
-                passes: u(p, "passes")?,
-                threads: p
-                    .get("threads")
-                    .and_then(Value::as_arr)
-                    .ok_or("missing `prof.threads`")?
-                    .iter()
-                    .map(|t| -> Result<ProfThreadStats, String> {
-                        Ok(ProfThreadStats {
-                            kind: t.get("kind").and_then(Value::as_str).unwrap_or("").to_string(),
-                            label: t.get("label").and_then(Value::as_str).unwrap_or("").to_string(),
-                            states: t
-                                .get("states")
-                                .and_then(Value::as_arr)
-                                .ok_or("missing `prof.threads[].states`")?
-                                .iter()
-                                .map(|sc| -> Result<ProfStateCount, String> {
-                                    Ok(ProfStateCount {
-                                        state: sc
-                                            .get("state")
-                                            .and_then(Value::as_str)
-                                            .unwrap_or("")
-                                            .to_string(),
-                                        samples: u(sc, "samples")?,
-                                    })
-                                })
-                                .collect::<Result<_, _>>()?,
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
         }
         Ok(out)
     }
@@ -796,500 +278,8 @@ impl RuntimeStats {
     /// [`super::prom::check_exposition`].
     pub fn to_prometheus(&self) -> String {
         let mut w = PromWriter::new();
-        w.family("algas_runtime_info", "gauge", "Configured runtime shape, as labels.").sample(
-            "algas_runtime_info",
-            &[
-                ("n_slots", &self.n_slots.to_string()),
-                ("n_workers", &self.n_workers.to_string()),
-                ("n_host_threads", &self.n_host_threads.to_string()),
-            ],
-            1.0,
-        );
-        for (name, help, v) in [
-            ("algas_queries_submitted_total", "Queries accepted into the queue.", self.submitted),
-            ("algas_queries_completed_total", "Queries fully served.", self.completed),
-            (
-                "algas_queries_rejected_queue_full_total",
-                "Queries rejected by backpressure.",
-                self.rejected_queue_full,
-            ),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        for (name, help, v) in [
-            ("algas_queue_depth", "Submissions queued right now.", self.queue_depth),
-            ("algas_slots_occupied", "Slots holding an in-flight query.", self.slots_occupied),
-            ("algas_base_store_bytes", "Bytes of the fp32 corpus.", self.base_bytes),
-            (
-                "algas_quant_store_bytes",
-                "Bytes of the SQ8 mirror (0 if fp32-only).",
-                self.quant_bytes,
-            ),
-        ] {
-            w.family(name, "gauge", help).scalar(name, v);
-        }
-        let series = |w: &mut PromWriter,
-                      name: &str,
-                      help: &str,
-                      label: &str,
-                      vals: &mut dyn Iterator<Item = u64>| {
-            w.family(name, "counter", help);
-            for (i, v) in vals.enumerate() {
-                w.sample(name, &[(label, &i.to_string())], v as f64);
-            }
-        };
-        series(
-            &mut w,
-            "algas_worker_queries_total",
-            "Queries searched, per worker.",
-            "worker",
-            &mut self.per_worker.iter().map(|x| x.queries),
-        );
-        series(
-            &mut w,
-            "algas_worker_busy_passes_total",
-            "Worker poll passes that did work.",
-            "worker",
-            &mut self.per_worker.iter().map(|x| x.busy_passes),
-        );
-        series(
-            &mut w,
-            "algas_worker_idle_passes_total",
-            "Worker poll passes that found nothing.",
-            "worker",
-            &mut self.per_worker.iter().map(|x| x.idle_passes),
-        );
-        series(
-            &mut w,
-            "algas_host_delivered_total",
-            "Results merged and delivered, per host poller.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.delivered),
-        );
-        series(
-            &mut w,
-            "algas_host_refills_total",
-            "Slots refilled from the queue, per host poller.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.refills),
-        );
-        series(
-            &mut w,
-            "algas_host_busy_passes_total",
-            "Host poll passes that did work.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.busy_passes),
-        );
-        series(
-            &mut w,
-            "algas_host_idle_passes_total",
-            "Host poll passes that found nothing.",
-            "host",
-            &mut self.per_host.iter().map(|x| x.idle_passes),
-        );
-        series(
-            &mut w,
-            "algas_slot_assigned_total",
-            "None/Done to Work transitions, per slot.",
-            "slot",
-            &mut self.per_slot.iter().map(|x| x.assigned),
-        );
-        series(
-            &mut w,
-            "algas_slot_finished_total",
-            "Work to Finish transitions, per slot.",
-            "slot",
-            &mut self.per_slot.iter().map(|x| x.finished),
-        );
-        series(
-            &mut w,
-            "algas_slot_delivered_total",
-            "Finish to Done transitions, per slot.",
-            "slot",
-            &mut self.per_slot.iter().map(|x| x.delivered),
-        );
-        w.family(
-            "algas_phase_latency_ns",
-            "summary",
-            "Query lifecycle phase latency, nanoseconds.",
-        );
-        for (phase, h) in self.phases.named() {
-            for (q, v) in [
-                ("0.5", h.quantile(0.5)),
-                ("0.95", h.quantile(0.95)),
-                ("0.99", h.quantile(0.99)),
-                ("0.999", h.quantile(0.999)),
-            ] {
-                w.sample("algas_phase_latency_ns", &[("phase", phase), ("quantile", q)], v as f64);
-            }
-            w.sample("algas_phase_latency_ns_sum", &[("phase", phase)], h.sum as f64);
-            w.sample("algas_phase_latency_ns_count", &[("phase", phase)], h.count as f64);
-        }
-        for (name, help, v) in [
-            ("algas_search_steps_total", "Search steps executed.", self.search.steps),
-            ("algas_search_expansions_total", "Candidates expanded.", self.search.expansions),
-            ("algas_search_dist_evals_total", "Distances computed.", self.search.dist_evals),
-            ("algas_search_sorts_total", "Sort/merge invocations.", self.search.sorts),
-            (
-                "algas_search_calc_cycles_total",
-                "Cycles in distance kernels.",
-                self.search.calc_cycles,
-            ),
-            (
-                "algas_search_sort_cycles_total",
-                "Cycles in sorting/merging.",
-                self.search.sort_cycles,
-            ),
-            (
-                "algas_search_other_cycles_total",
-                "Remaining search cycles.",
-                self.search.other_cycles,
-            ),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        w.family("algas_search_sort_fraction", "gauge", "Fraction of cycles spent sorting.")
-            .sample("algas_search_sort_fraction", &[], self.search.sort_fraction());
-        w.family(
-            "algas_search_hops_per_query",
-            "gauge",
-            "Mean CTA search steps per query (entry-selection figure of merit).",
-        )
-        .sample("algas_search_hops_per_query", &[], self.hops_per_query());
-        w.family("algas_entry_distance_mean", "gauge", "Mean best-entry distance per query.")
-            .sample("algas_entry_distance_mean", &[], self.mean_entry_distance());
-        for (name, help, v) in [
-            ("algas_rerank_total", "SQ8 exact-rerank passes.", self.rerank.reranks),
-            (
-                "algas_rerank_candidates_total",
-                "Candidates exactly re-ranked.",
-                self.rerank.candidates,
-            ),
-            ("algas_rerank_promotions_total", "Rerank-order promotions.", self.rerank.promotions),
-            ("algas_merge_total", "Host-side TopK merges.", self.merge.merges),
-            ("algas_merge_elements_total", "Elements merged.", self.merge.elements),
-            (
-                "algas_merge_dupes_dropped_total",
-                "Duplicate ids dropped in merges.",
-                self.merge.dupes_dropped,
-            ),
-            (
-                "algas_flight_completions_total",
-                "Completions examined by the flight recorder.",
-                self.flight.completions,
-            ),
-            (
-                "algas_flight_events_total",
-                "Trace events written across all slot rings.",
-                self.flight.events,
-            ),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        w.family("algas_flight_retained", "gauge", "Query traces currently retained.")
-            .scalar("algas_flight_retained", self.flight.retained);
-        for (name, help, v) in [
-            (
-                "algas_control_enabled",
-                "1 when an SLO is configured and the controller is live.",
-                u64::from(self.control.enabled),
-            ),
-            ("algas_control_slo_ns", "Configured p99 service-latency target.", self.control.slo_ns),
-            (
-                "algas_control_level",
-                "Current effort level (0 = full effort).",
-                u64::from(self.control.level),
-            ),
-            (
-                "algas_control_max_level",
-                "Cheapest effort level available.",
-                u64::from(self.control.max_level),
-            ),
-            (
-                "algas_control_beam_width",
-                "Current beam width (0 = greedy).",
-                self.control.beam_width,
-            ),
-            (
-                "algas_control_offset_beam",
-                "Current diffusing-switch offset (0 = greedy).",
-                self.control.offset_beam,
-            ),
-            (
-                "algas_control_rerank_depth",
-                "Current exact-rerank pool depth.",
-                self.control.rerank_depth,
-            ),
-            (
-                "algas_control_n_ctas",
-                "Parallel CTAs per query at the current rung.",
-                self.control.n_ctas,
-            ),
-            (
-                "algas_control_last_p99_ns",
-                "Window p99 at the last controller tick.",
-                self.control.last_p99_ns,
-            ),
-        ] {
-            w.family(name, "gauge", help).scalar(name, v);
-        }
-        for (name, help, v) in [
-            ("algas_control_ticks_total", "Controller ticks run.", self.control.ticks),
-            ("algas_control_sheds_total", "Ticks that shed effort.", self.control.sheds),
-            ("algas_control_restores_total", "Ticks that restored effort.", self.control.restores),
-            ("algas_control_holds_total", "Ticks that held the level.", self.control.holds),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        for (name, help, v) in [
-            (
-                "algas_net_connections_accepted_total",
-                "TCP connections accepted by the query listener.",
-                self.net.connections_accepted,
-            ),
-            (
-                "algas_net_connections_closed_total",
-                "Query connections fully closed.",
-                self.net.connections_closed,
-            ),
-            (
-                "algas_net_frames_in_total",
-                "Complete frames decoded from clients.",
-                self.net.frames_in,
-            ),
-            ("algas_net_frames_out_total", "Frames written to clients.", self.net.frames_out),
-            ("algas_net_bytes_in_total", "Bytes read from client sockets.", self.net.bytes_in),
-            ("algas_net_bytes_out_total", "Bytes written to client sockets.", self.net.bytes_out),
-            (
-                "algas_net_protocol_errors_total",
-                "Frames rejected as malformed.",
-                self.net.protocol_errors,
-            ),
-            (
-                "algas_net_backpressure_rejects_total",
-                "Requests answered with RETRY_AFTER.",
-                self.net.backpressure_rejects,
-            ),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        for (name, help, v) in [
-            (
-                "algas_net_conn_closed_bytes_in_total",
-                "Bytes read over all closed connections.",
-                self.net_closed.bytes_in,
-            ),
-            (
-                "algas_net_conn_closed_bytes_out_total",
-                "Bytes written over all closed connections.",
-                self.net_closed.bytes_out,
-            ),
-            (
-                "algas_net_conn_closed_errors_total",
-                "Protocol errors answered over all closed connections.",
-                self.net_closed.errors,
-            ),
-            (
-                "algas_net_conn_closed_retry_afters_total",
-                "RETRY_AFTER responses sent over all closed connections.",
-                self.net_closed.retry_afters,
-            ),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        // Per-connection series stay bounded: past `conn_series_max`
-        // the remaining connections collapse into one conn="other"
-        // series (counters sum; the high-water gauge takes the max).
-        let cap = if self.conn_series_max == 0 {
-            self.net_conns.len()
-        } else {
-            self.conn_series_max as usize
-        };
-        let (head, tail) = self.net_conns.split_at(cap.min(self.net_conns.len()));
-        let conn_series = |w: &mut PromWriter,
-                           name: &str,
-                           kind: &str,
-                           help: &str,
-                           get: &dyn Fn(&ConnStats) -> u64,
-                           overflow_max: bool| {
-            w.family(name, kind, help);
-            for c in head {
-                w.sample(name, &[("conn", &c.id.to_string())], get(c) as f64);
-            }
-            if !tail.is_empty() {
-                let v = if overflow_max {
-                    tail.iter().map(get).max().unwrap_or(0)
-                } else {
-                    tail.iter().map(get).sum()
-                };
-                w.sample(name, &[("conn", "other")], v as f64);
-            }
-        };
-        conn_series(
-            &mut w,
-            "algas_net_conn_inflight",
-            "gauge",
-            "Requests in flight, per open connection.",
-            &|c| c.inflight,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_bytes_in_total",
-            "counter",
-            "Bytes read, per open connection.",
-            &|c| c.bytes_in,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_bytes_out_total",
-            "counter",
-            "Bytes written, per open connection.",
-            &|c| c.bytes_out,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_backlog_high_water_bytes",
-            "gauge",
-            "Largest pending-write backlog seen, per open connection.",
-            &|c| c.backlog_high_water,
-            true,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_errors_total",
-            "counter",
-            "Protocol errors answered, per open connection.",
-            &|c| c.errors,
-            false,
-        );
-        conn_series(
-            &mut w,
-            "algas_net_conn_retry_afters_total",
-            "counter",
-            "RETRY_AFTER responses sent, per open connection.",
-            &|c| c.retry_afters,
-            false,
-        );
-        w.family(
-            "algas_net_retry_backoff_us",
-            "summary",
-            "Advised RETRY_AFTER backoff delay, microseconds.",
-        );
-        for (q, v) in
-            [("0.5", self.retry_backoff.quantile(0.5)), ("0.99", self.retry_backoff.quantile(0.99))]
-        {
-            w.sample("algas_net_retry_backoff_us", &[("quantile", q)], v as f64);
-        }
-        w.sample("algas_net_retry_backoff_us_sum", &[], self.retry_backoff.sum as f64);
-        w.sample("algas_net_retry_backoff_us_count", &[], self.retry_backoff.count as f64);
-        for (name, help, v) in [
-            ("algas_qlog_records_total", "Wide-event records accepted.", self.qlog.logged),
-            ("algas_qlog_dropped_total", "Records dropped (ring full).", self.qlog.dropped),
-            ("algas_qlog_drained_total", "Records drained as JSON lines.", self.qlog.drained),
-        ] {
-            w.family(name, "counter", help).scalar(name, v);
-        }
-        for (name, help, v) in [
-            (
-                "algas_tail_exemplar_e2e_ns",
-                "Slowest end-to-end latency in the current exemplar window.",
-                self.exemplar.e2e_ns,
-            ),
-            (
-                "algas_tail_exemplar_request_id",
-                "Wire request id of the exemplar delivery (grep it in /traces).",
-                self.exemplar.request_id,
-            ),
-        ] {
-            w.family(name, "gauge", help).scalar(name, v);
-        }
-        if !self.window.windows.is_empty() {
-            let wl = |wd: &WindowStats| wd.target_s.to_string() + "s";
-            w.family(
-                "algas_window_completed",
-                "gauge",
-                "Queries completed inside the moving window.",
-            );
-            for wd in &self.window.windows {
-                w.sample("algas_window_completed", &[("window", &wl(wd))], wd.completed as f64);
-            }
-            w.family(
-                "algas_window_rate_qps",
-                "gauge",
-                "Completion rate over the moving window, queries/second.",
-            );
-            for wd in &self.window.windows {
-                w.sample("algas_window_rate_qps", &[("window", &wl(wd))], wd.rate_qps());
-            }
-            w.family(
-                "algas_window_latency_ns",
-                "gauge",
-                "Moving-window end-to-end latency quantiles, nanoseconds.",
-            );
-            for wd in &self.window.windows {
-                for (q, v) in [("0.5", wd.p50_ns), ("0.99", wd.p99_ns), ("1", wd.max_ns)] {
-                    w.sample(
-                        "algas_window_latency_ns",
-                        &[("window", &wl(wd)), ("quantile", q)],
-                        v as f64,
-                    );
-                }
-            }
-            w.family(
-                "algas_window_slo_attainment_ratio",
-                "gauge",
-                "Fraction of windowed completions inside the SLO (1 with no SLO armed).",
-            );
-            for wd in &self.window.windows {
-                w.sample(
-                    "algas_window_slo_attainment_ratio",
-                    &[("window", &wl(wd))],
-                    wd.attainment_ppm as f64 / 1e6,
-                );
-            }
-            w.family(
-                "algas_window_span_seconds",
-                "gauge",
-                "Actual span each moving window covers (truncated while warming up).",
-            );
-            for wd in &self.window.windows {
-                w.sample(
-                    "algas_window_span_seconds",
-                    &[("window", &wl(wd))],
-                    wd.span_ms as f64 / 1e3,
-                );
-            }
-            w.family(
-                "algas_window_degraded",
-                "gauge",
-                "1 when the multi-window SLO burn-rate rule says degraded.",
-            )
-            .scalar("algas_window_degraded", u64::from(self.window.degraded()));
-        }
-        if !self.prof.threads.is_empty() {
-            w.family(
-                "algas_prof_passes_total",
-                "counter",
-                "Thread-state sampler passes since start.",
-            )
-            .scalar("algas_prof_passes_total", self.prof.passes);
-            w.family(
-                "algas_prof_samples_total",
-                "counter",
-                "Sampler observations per thread and state (profiler attribution).",
-            );
-            for t in &self.prof.threads {
-                for sc in &t.states {
-                    w.sample(
-                        "algas_prof_samples_total",
-                        &[("kind", &t.kind), ("thread", &t.label), ("state", &sc.state)],
-                        sc.samples as f64,
-                    );
-                }
-            }
+        for b in BLOCKS {
+            (b.prom)(self, &mut w);
         }
         w.finish()
     }
@@ -1323,6 +313,615 @@ impl RuntimeStats {
         out.phases.finish_to_merged = hists[3].snapshot();
         out.phases.end_to_end = hists[4].snapshot();
         out
+    }
+}
+
+/// A scalar field's JSON form: integers stay lossless `Uint`s, flags
+/// are JSON booleans (exported to Prometheus as 0/1).
+trait Scalar: Sized {
+    fn to_json(&self) -> Value;
+    fn from_json(v: &Value) -> Option<Self>;
+}
+
+macro_rules! scalars {
+    ($($t:ty: $to:expr, $from:expr;)*) => {$(
+        impl Scalar for $t {
+            fn to_json(&self) -> Value { ($to)(self) }
+            fn from_json(v: &Value) -> Option<Self> { ($from)(v) }
+        }
+    )*};
+}
+
+scalars! {
+    u64: |x: &u64| Value::Uint(*x), Value::as_u64;
+    u32: |x: &u32| Value::Uint(u64::from(*x)), |v: &Value| v.as_u64()?.try_into().ok();
+    usize: |x: &usize| Value::Uint(*x as u64), |v: &Value| v.as_u64()?.try_into().ok();
+    bool: |x: &bool| Value::Bool(*x),
+        |v: &Value| if let Value::Bool(b) = v { Some(*b) } else { None };
+    String: |x: &String| Value::Str(x.clone()), |v: &Value| v.as_str().map(str::to_string);
+}
+
+/// One exported field of a struct `T`: its JSON key (the field name),
+/// whether older snapshots may lack it, its Prometheus family
+/// (`(kind, name, help)`; `None` = JSON only), and its accessors.
+struct Field<T> {
+    key: &'static str,
+    optional: bool,
+    prom: Option<(&'static str, &'static str, &'static str)>,
+    get: fn(&T) -> Value,
+    set: fn(&mut T, &Value) -> Result<(), String>,
+}
+
+/// Declares the field tables, one per struct, one row per field:
+///
+/// ```text
+/// counter|gauge field [optional|derived] "prom_name" "help";
+/// json field [optional];
+/// counter member.field ...;
+/// list field(ELEMENT_TABLE) [optional];
+/// ```
+///
+/// `json` rows are JSON only; `list` rows are arrays of structs with
+/// their own table; `optional` marks a field older snapshots may lack
+/// (it then parses as the field's default); `derived` exports the
+/// value of the struct's method `field()`, which parsing ignores. A
+/// `member.field` path reaches into a member struct; the JSON key is
+/// the last segment.
+macro_rules! field_tables {
+    (@opt) => { false };
+    (@opt optional) => { true };
+    (@opt derived) => { true };
+    (@prom json) => { None };
+    (@prom list) => { None };
+    (@prom counter $name:literal $help:literal) => { Some(("counter", $name, $help)) };
+    (@prom gauge $name:literal $help:literal) => { Some(("gauge", $name, $help)) };
+    (@key $f:ident) => { stringify!($f) };
+    (@key $parent:ident $($f:ident)+) => { field_tables!(@key $($f)+) };
+    (@get [derived] ($($f:ident).+)) => { |x| Value::Num(x.$($f).+()) };
+    (@get [$($opt:ident)?] ($($f:ident).+) $list:ident) => { |x| items_json($list, &x.$($f).+) };
+    (@get [$($opt:ident)?] ($($f:ident).+)) => { |x| Scalar::to_json(&x.$($f).+) };
+    (@set [derived] ($($f:ident).+)) => { |_, _| Ok(()) };
+    (@set [$($opt:ident)?] ($($f:ident).+) $list:ident) => {
+        |x, v| items_parse($list, v).map(|items| x.$($f).+ = items)
+    };
+    (@set [$($opt:ident)?] ($($f:ident).+)) => {
+        |x, v| Scalar::from_json(v).map(|val| x.$($f).+ = val).ok_or_else(|| "mistyped".to_string())
+    };
+    ($($(#[$doc:meta])* $table:ident: $t:ty {$(
+        $kind:ident $($f:ident).+ $(($list:ident))? $($opt:ident)? $($name:literal $help:literal)?;
+    )*})*) => {$(
+        $(#[$doc])*
+        const $table: &[Field<$t>] = &[$(Field::<$t> {
+            key: field_tables!(@key $($f)+),
+            optional: field_tables!(@opt $($opt)?),
+            prom: field_tables!(@prom $kind $($name $help)?),
+            get: field_tables!(@get [$($opt)?] ($($f).+) $($list)?),
+            set: field_tables!(@set [$($opt)?] ($($f).+) $($list)?),
+        }),*];
+    )*};
+}
+
+/// A [`Block`] that is one struct's field table: the struct is the
+/// snapshot itself, or its member `$f` (exported by `$prom`, when the
+/// member has families that are not plain rows).
+macro_rules! block {
+    ($key:literal $($opt:ident)?, $f:ident: $fields:expr $(, $prom:expr)?) => {
+        Block {
+            key: $key,
+            optional: field_tables!(@opt $($opt)?),
+            json: |s| Value::Obj(fields_json($fields, &s.$f)),
+            parse: |s, v| fields_parse($fields, v, &mut s.$f),
+            prom: block!(@prom $f $fields $(, $prom)?),
+        }
+    };
+    ($key:literal, $fields:expr) => {
+        Block {
+            key: $key,
+            optional: false,
+            json: |s| Value::Obj(fields_json($fields, s)),
+            parse: |s, v| fields_parse($fields, v, s),
+            prom: |s, w| fields_prom($fields, s, w),
+        }
+    };
+    (@prom $f:ident $fields:expr) => { |s, w| fields_prom($fields, &s.$f, w) };
+    (@prom $f:ident $fields:expr, $prom:expr) => { $prom };
+}
+
+/// A [`Block`] that is an array member `$f`, one field table per
+/// element, exported as series labeled `$label="<index>"` (or by
+/// `$prom`).
+macro_rules! items {
+    ($key:literal $($opt:ident)?, $f:ident: $fields:ident, $prom:tt) => {
+        Block {
+            key: $key,
+            optional: field_tables!(@opt $($opt)?),
+            json: |s| items_json($fields, &s.$f),
+            parse: |s, v| items_parse($fields, v).map(|items| s.$f = items),
+            prom: items!(@prom $f $fields $prom),
+        }
+    };
+    (@prom $f:ident $fields:ident $label:literal) => {
+        |s, w| series_prom($fields, &s.$f, $label, |i, _| i.to_string(), w)
+    };
+    (@prom $f:ident $fields:ident $prom:ident) => { $prom };
+}
+
+/// One top-level entry of the snapshot document: its JSON key, whether
+/// older snapshots may lack it, and how it renders, parses and
+/// exports.
+struct Block {
+    key: &'static str,
+    optional: bool,
+    json: fn(&RuntimeStats) -> Value,
+    parse: fn(&mut RuntimeStats, &Value) -> Result<(), String>,
+    prom: fn(&RuntimeStats, &mut PromWriter),
+}
+
+fn fields_json<T>(fields: &[Field<T>], x: &T) -> Vec<(String, Value)> {
+    fields.iter().map(|f| (f.key.to_string(), (f.get)(x))).collect()
+}
+
+fn fields_parse<T>(fields: &[Field<T>], v: &Value, x: &mut T) -> Result<(), String> {
+    for f in fields {
+        match v.get(f.key) {
+            Some(val) => (f.set)(x, val).map_err(|e| format!("`{}`: {e}", f.key))?,
+            None if f.optional => {}
+            None => return Err(format!("missing field `{}`", f.key)),
+        }
+    }
+    Ok(())
+}
+
+/// One unlabeled family per exported field.
+fn fields_prom<T>(fields: &[Field<T>], x: &T, w: &mut PromWriter) {
+    series_prom(fields, std::slice::from_ref(x), "", |_, _| String::new(), w);
+}
+
+fn items_json<T>(fields: &[Field<T>], items: &[T]) -> Value {
+    Value::Arr(items.iter().map(|x| Value::Obj(fields_json(fields, x))).collect())
+}
+
+fn items_parse<T: Default>(fields: &[Field<T>], v: &Value) -> Result<Vec<T>, String> {
+    let parse = |e: &Value| {
+        let mut x = T::default();
+        fields_parse(fields, e, &mut x).map(|()| x)
+    };
+    v.as_arr().ok_or("expected an array")?.iter().map(parse).collect()
+}
+
+/// One family per exported field, one sample per item labeled
+/// `label="<label_of(index, item)>"` (unlabeled when `label` is empty).
+fn series_prom<T>(
+    fields: &[Field<T>],
+    items: &[T],
+    label: &str,
+    label_of: fn(usize, &T) -> String,
+    w: &mut PromWriter,
+) {
+    for f in fields {
+        let Some((kind, name, help)) = f.prom else { continue };
+        w.family(name, kind, help);
+        for (i, x) in items.iter().enumerate() {
+            let value = label_of(i, x);
+            let labels: &[(&str, &str)] = if label.is_empty() { &[] } else { &[(label, &value)] };
+            w.sample(name, labels, sample_value(&(f.get)(x)));
+        }
+    }
+}
+
+/// A field value as a Prometheus sample (flags export as 0/1).
+fn sample_value(v: &Value) -> f64 {
+    match *v {
+        Value::Bool(b) => f64::from(u8::from(b)),
+        ref v => v.as_f64().unwrap_or(0.0),
+    }
+}
+
+fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
+    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// A histogram's JSON form: the totals, the headline percentiles
+/// (derived; ignored on parse) and the non-empty buckets as
+/// `[index, count]` pairs.
+fn hist_json(h: &HistogramSnapshot) -> Value {
+    let (p50, p95, p99, p999) = h.percentiles();
+    let totals = [("count", h.count), ("sum", h.sum), ("min", h.min), ("max", h.max)];
+    let percentiles = [("p50", p50), ("p95", p95), ("p99", p99), ("p999", p999)];
+    let mut out: Vec<(String, Value)> = totals
+        .into_iter()
+        .chain(percentiles)
+        .map(|(k, v)| (k.to_string(), Value::Uint(v)))
+        .collect();
+    let buckets = h
+        .sparse()
+        .into_iter()
+        .map(|(i, c)| Value::Arr(vec![Value::Uint(i as u64), Value::Uint(c)]));
+    out.push(("buckets".to_string(), Value::Arr(buckets.collect())));
+    Value::Obj(out)
+}
+
+fn hist_parse(v: &Value) -> Result<HistogramSnapshot, String> {
+    let u =
+        |key: &str| u64::from_json(field(v, key)?).ok_or_else(|| format!("mistyped field `{key}`"));
+    let pairs = field(v, "buckets")?
+        .as_arr()
+        .ok_or("`buckets` not an array")?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([i, c]) => Ok((
+                i.as_u64().and_then(|i| usize::try_from(i).ok()).ok_or("bad bucket index")?,
+                c.as_u64().ok_or("bad bucket count")?,
+            )),
+            _ => Err("bucket entry not a pair"),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let snap = HistogramSnapshot::from_sparse(&pairs, u("sum")?, u("min")?, u("max")?)?;
+    if snap.count != u("count")? {
+        return Err("histogram count disagrees with buckets".into());
+    }
+    Ok(snap)
+}
+
+/// Emits `h` as summary samples of family `name` — the quantiles `qs`,
+/// then `_sum` and `_count` — each carrying `labels`.
+fn summary_prom(
+    w: &mut PromWriter,
+    name: &str,
+    labels: &[(&str, &str)],
+    h: &HistogramSnapshot,
+    qs: &[f64],
+) {
+    for &q in qs {
+        let q_label = q.to_string();
+        let with_q = [labels, &[("quantile", q_label.as_str())]].concat();
+        w.sample(name, &with_q, h.quantile(q) as f64);
+    }
+    w.sample(&format!("{name}_sum"), labels, h.sum as f64);
+    w.sample(&format!("{name}_count"), labels, h.count as f64);
+}
+
+field_tables! {
+    CONFIG: RuntimeStats {
+        json n_slots;
+        json n_workers;
+        json n_host_threads;
+    }
+    QUERIES: RuntimeStats {
+        counter submitted "algas_queries_submitted_total" "Queries accepted into the queue.";
+        counter completed "algas_queries_completed_total" "Queries fully served.";
+        counter rejected_queue_full "algas_queries_rejected_queue_full_total"
+            "Queries rejected by backpressure.";
+    }
+    GAUGES: RuntimeStats {
+        gauge queue_depth "algas_queue_depth" "Submissions queued right now.";
+        gauge slots_occupied "algas_slots_occupied" "Slots holding an in-flight query.";
+        gauge base_bytes optional "algas_base_store_bytes" "Bytes of the fp32 corpus.";
+        gauge quant_bytes optional "algas_quant_store_bytes"
+            "Bytes of the SQ8 mirror (0 if fp32-only).";
+    }
+    WORKER: WorkerStats {
+        counter queries "algas_worker_queries_total" "Queries searched, per worker.";
+        counter busy_passes "algas_worker_busy_passes_total" "Worker poll passes that did work.";
+        counter idle_passes "algas_worker_idle_passes_total"
+            "Worker poll passes that found nothing.";
+    }
+    HOST: HostStats {
+        counter delivered "algas_host_delivered_total"
+            "Results merged and delivered, per host poller.";
+        counter refills "algas_host_refills_total"
+            "Slots refilled from the queue, per host poller.";
+        counter busy_passes "algas_host_busy_passes_total" "Host poll passes that did work.";
+        counter idle_passes "algas_host_idle_passes_total" "Host poll passes that found nothing.";
+    }
+    SLOT: SlotStats {
+        counter assigned "algas_slot_assigned_total" "None/Done to Work transitions, per slot.";
+        counter finished "algas_slot_finished_total" "Work to Finish transitions, per slot.";
+        counter delivered "algas_slot_delivered_total" "Finish to Done transitions, per slot.";
+    }
+    SEARCH: RuntimeStats {
+        counter search.steps "algas_search_steps_total" "Search steps executed.";
+        counter search.expansions "algas_search_expansions_total" "Candidates expanded.";
+        counter search.dist_evals "algas_search_dist_evals_total" "Distances computed.";
+        counter search.sorts "algas_search_sorts_total" "Sort/merge invocations.";
+        counter search.calc_cycles "algas_search_calc_cycles_total" "Cycles in distance kernels.";
+        counter search.sort_cycles "algas_search_sort_cycles_total" "Cycles in sorting/merging.";
+        counter search.other_cycles "algas_search_other_cycles_total" "Remaining search cycles.";
+        gauge search.sort_fraction derived "algas_search_sort_fraction"
+            "Fraction of cycles spent sorting.";
+        json entry_dist_milli_total optional;
+        gauge hops_per_query derived "algas_search_hops_per_query"
+            "Mean CTA search steps per query (entry-selection figure of merit).";
+        gauge mean_entry_distance derived "algas_entry_distance_mean"
+            "Mean best-entry distance per query.";
+    }
+    RERANK: RerankStats {
+        counter reranks "algas_rerank_total" "SQ8 exact-rerank passes.";
+        counter candidates "algas_rerank_candidates_total" "Candidates exactly re-ranked.";
+        counter promotions "algas_rerank_promotions_total" "Rerank-order promotions.";
+    }
+    MERGE: MergeStats {
+        counter merges "algas_merge_total" "Host-side TopK merges.";
+        counter elements "algas_merge_elements_total" "Elements merged.";
+        counter dupes_dropped "algas_merge_dupes_dropped_total" "Duplicate ids dropped in merges.";
+    }
+    FLIGHT: FlightTotals {
+        counter completions "algas_flight_completions_total"
+            "Completions examined by the flight recorder.";
+        counter events "algas_flight_events_total" "Trace events written across all slot rings.";
+        gauge retained "algas_flight_retained" "Query traces currently retained.";
+    }
+    CONTROL: ControlStats {
+        gauge enabled "algas_control_enabled"
+            "1 when an SLO is configured and the controller is live.";
+        gauge slo_ns "algas_control_slo_ns" "Configured p99 service-latency target.";
+        gauge level "algas_control_level" "Current effort level (0 = full effort).";
+        gauge max_level "algas_control_max_level" "Cheapest effort level available.";
+        gauge beam_width "algas_control_beam_width" "Current beam width (0 = greedy).";
+        gauge offset_beam "algas_control_offset_beam"
+            "Current diffusing-switch offset (0 = greedy).";
+        gauge rerank_depth "algas_control_rerank_depth" "Current exact-rerank pool depth.";
+        gauge n_ctas optional "algas_control_n_ctas" "Parallel CTAs per query at the current rung.";
+        gauge last_p99_ns "algas_control_last_p99_ns" "Window p99 at the last controller tick.";
+        counter ticks "algas_control_ticks_total" "Controller ticks run.";
+        counter sheds "algas_control_sheds_total" "Ticks that shed effort.";
+        counter restores "algas_control_restores_total" "Ticks that restored effort.";
+        counter holds "algas_control_holds_total" "Ticks that held the level.";
+        json last_reason optional;
+    }
+    NET: NetStats {
+        counter connections_accepted "algas_net_connections_accepted_total"
+            "TCP connections accepted by the query listener.";
+        counter connections_closed "algas_net_connections_closed_total"
+            "Query connections fully closed.";
+        counter frames_in "algas_net_frames_in_total" "Complete frames decoded from clients.";
+        counter frames_out "algas_net_frames_out_total" "Frames written to clients.";
+        counter bytes_in "algas_net_bytes_in_total" "Bytes read from client sockets.";
+        counter bytes_out "algas_net_bytes_out_total" "Bytes written to client sockets.";
+        counter protocol_errors "algas_net_protocol_errors_total" "Frames rejected as malformed.";
+        counter backpressure_rejects "algas_net_backpressure_rejects_total"
+            "Requests answered with RETRY_AFTER.";
+    }
+    NET_CLOSED: ClosedConnTotals {
+        counter bytes_in "algas_net_conn_closed_bytes_in_total"
+            "Bytes read over all closed connections.";
+        counter bytes_out "algas_net_conn_closed_bytes_out_total"
+            "Bytes written over all closed connections.";
+        counter errors "algas_net_conn_closed_errors_total"
+            "Protocol errors answered over all closed connections.";
+        counter retry_afters "algas_net_conn_closed_retry_afters_total"
+            "RETRY_AFTER responses sent over all closed connections.";
+    }
+    CONN: ConnStats {
+        json id;
+        gauge inflight "algas_net_conn_inflight" "Requests in flight, per open connection.";
+        counter bytes_in "algas_net_conn_bytes_in_total" "Bytes read, per open connection.";
+        counter bytes_out "algas_net_conn_bytes_out_total" "Bytes written, per open connection.";
+        gauge backlog_high_water "algas_net_conn_backlog_high_water_bytes"
+            "Largest pending-write backlog seen, per open connection.";
+        counter errors "algas_net_conn_errors_total"
+            "Protocol errors answered, per open connection.";
+        counter retry_afters "algas_net_conn_retry_afters_total"
+            "RETRY_AFTER responses sent, per open connection.";
+    }
+    QLOG: QlogTotals {
+        counter logged "algas_qlog_records_total" "Wide-event records accepted.";
+        counter dropped "algas_qlog_dropped_total" "Records dropped (ring full).";
+        counter drained "algas_qlog_drained_total" "Records drained as JSON lines.";
+    }
+    EXEMPLAR: TailExemplar {
+        gauge e2e_ns "algas_tail_exemplar_e2e_ns"
+            "Slowest end-to-end latency in the current exemplar window.";
+        gauge request_id "algas_tail_exemplar_request_id"
+            "Wire request id of the exemplar delivery (grep it in /traces).";
+    }
+    WINDOW_BLOCK: WindowBlock {
+        json period_ms;
+        json slots;
+        json slo_ns;
+        json health;
+        list windows(WINDOW);
+    }
+    WINDOW: WindowStats {
+        json target_s;
+        json span_ms;
+        gauge completed "algas_window_completed" "Queries completed inside the moving window.";
+        json submitted;
+        json p50_ns;
+        json p99_ns;
+        json max_ns;
+        json attainment_ppm;
+    }
+    PROF: ProfStats {
+        json hz;
+        counter passes "algas_prof_passes_total" "Thread-state sampler passes since start.";
+        list threads(PROF_THREAD);
+    }
+    PROF_THREAD: ProfThreadStats {
+        json kind;
+        json label;
+        list states(PROF_STATE);
+    }
+    PROF_STATE: ProfStateCount {
+        json state;
+        json samples;
+    }
+}
+
+/// The snapshot document's top-level entries, in Prometheus page
+/// order. Blocks marked optional are absent in snapshots written before
+/// their subsystem existed.
+const BLOCKS: &[Block] = &[
+    Block {
+        key: "config",
+        optional: false,
+        json: |s| Value::Obj(fields_json(CONFIG, s)),
+        parse: |s, v| fields_parse(CONFIG, v, s),
+        // The runtime shape is exported as the labels of one gauge.
+        prom: |s, w| {
+            let values: Vec<String> = CONFIG.iter().map(|f| (f.get)(s).render()).collect();
+            let labels: Vec<(&str, &str)> =
+                CONFIG.iter().zip(&values).map(|(f, v)| (f.key, v.as_str())).collect();
+            let name = "algas_runtime_info";
+            w.family(name, "gauge", "Configured runtime shape, as labels.")
+                .sample(name, &labels, 1.0);
+        },
+    },
+    block!("queries", QUERIES),
+    block!("gauges", GAUGES),
+    items!("workers", per_worker: WORKER, "worker"),
+    items!("hosts", per_host: HOST, "host"),
+    items!("slots", per_slot: SLOT, "slot"),
+    Block {
+        key: "phases",
+        optional: false,
+        json: |s| {
+            let named = s.phases.named().into_iter();
+            Value::Obj(named.map(|(name, h)| (name.to_string(), hist_json(h))).collect())
+        },
+        parse: |s, v| {
+            for (name, h) in s.phases.named_mut() {
+                *h = hist_parse(field(v, name)?).map_err(|e| format!("`{name}`: {e}"))?;
+            }
+            Ok(())
+        },
+        prom: |s, w| {
+            let name = "algas_phase_latency_ns";
+            w.family(name, "summary", "Query lifecycle phase latency, nanoseconds.");
+            for (phase, h) in s.phases.named() {
+                summary_prom(w, name, &[("phase", phase)], h, &[0.5, 0.95, 0.99, 0.999]);
+            }
+        },
+    },
+    block!("search", SEARCH),
+    block!("rerank" optional, rerank: RERANK),
+    block!("merge", merge: MERGE),
+    block!("flight" optional, flight: FLIGHT),
+    Block {
+        key: "control",
+        optional: true,
+        json: |s| Value::Obj(fields_json(CONTROL, &s.control)),
+        parse: |s, v| {
+            // Snapshots from before the controller reported its reasons.
+            s.control.last_reason = "init".to_string();
+            fields_parse(CONTROL, v, &mut s.control)
+        },
+        prom: |s, w| fields_prom(CONTROL, &s.control, w),
+    },
+    block!("net" optional, net: NET),
+    block!("net_closed" optional, net_closed: NET_CLOSED),
+    items!("net_conns" optional, net_conns: CONN, conns_prom),
+    Block {
+        key: "conn_series_max",
+        optional: true,
+        json: |s| Value::Uint(s.conn_series_max),
+        parse: |s, v| v.as_u64().map(|n| s.conn_series_max = n).ok_or("not an integer".into()),
+        // Shapes the `net_conns` series; not a metric itself.
+        prom: |_, _| {},
+    },
+    Block {
+        key: "retry_backoff_us",
+        optional: true,
+        json: |s| hist_json(&s.retry_backoff),
+        parse: |s, v| hist_parse(v).map(|h| s.retry_backoff = h),
+        prom: |s, w| {
+            let name = "algas_net_retry_backoff_us";
+            w.family(name, "summary", "Advised RETRY_AFTER backoff delay, microseconds.");
+            summary_prom(w, name, &[], &s.retry_backoff, &[0.5, 0.99]);
+        },
+    },
+    block!("qlog" optional, qlog: QLOG),
+    block!("exemplar" optional, exemplar: EXEMPLAR),
+    block!("window" optional, window: WINDOW_BLOCK, window_prom),
+    block!("prof" optional, prof: PROF, prof_prom),
+];
+
+/// Per-connection series stay bounded: past `conn_series_max` the
+/// remaining connections collapse into one `conn="other"` series
+/// (counters sum; the high-water gauge takes the max).
+fn conns_prom(s: &RuntimeStats, w: &mut PromWriter) {
+    let cap = match s.conn_series_max {
+        0 => usize::MAX,
+        max => usize::try_from(max).unwrap_or(usize::MAX),
+    };
+    let (head, tail) = s.net_conns.split_at(cap.min(s.net_conns.len()));
+    for f in CONN {
+        let Some((kind, name, help)) = f.prom else { continue };
+        w.family(name, kind, help);
+        for c in head {
+            w.sample(name, &[("conn", &c.id.to_string())], sample_value(&(f.get)(c)));
+        }
+        if !tail.is_empty() {
+            let vals = tail.iter().map(|c| (f.get)(c).as_u64().unwrap_or(0));
+            let v =
+                if f.key == "backlog_high_water" { vals.max().unwrap_or(0) } else { vals.sum() };
+            w.sample(name, &[("conn", "other")], v as f64);
+        }
+    }
+}
+
+/// The moving-window families, present once the ring has computed a
+/// window.
+fn window_prom(s: &RuntimeStats, w: &mut PromWriter) {
+    let windows = &s.window.windows;
+    if windows.is_empty() {
+        return;
+    }
+    series_prom(WINDOW, windows, "window", |_, wd| window_label(wd), w);
+    let per_window =
+        |w: &mut PromWriter, name: &str, help: &str, value: fn(&WindowStats) -> f64| {
+            w.family(name, "gauge", help);
+            for wd in windows {
+                w.sample(name, &[("window", &window_label(wd))], value(wd));
+            }
+        };
+    per_window(
+        w,
+        "algas_window_rate_qps",
+        "Completion rate over the moving window, queries/second.",
+        WindowStats::rate_qps,
+    );
+    let name = "algas_window_latency_ns";
+    w.family(name, "gauge", "Moving-window end-to-end latency quantiles, nanoseconds.");
+    for wd in windows {
+        for (q, v) in [("0.5", wd.p50_ns), ("0.99", wd.p99_ns), ("1", wd.max_ns)] {
+            w.sample(name, &[("window", &window_label(wd)), ("quantile", q)], v as f64);
+        }
+    }
+    per_window(
+        w,
+        "algas_window_slo_attainment_ratio",
+        "Fraction of windowed completions inside the SLO (1 with no SLO armed).",
+        |wd| wd.attainment_ppm as f64 / 1e6,
+    );
+    per_window(
+        w,
+        "algas_window_span_seconds",
+        "Actual span each moving window covers (truncated while warming up).",
+        |wd| wd.span_ms as f64 / 1e3,
+    );
+    let name = "algas_window_degraded";
+    w.family(name, "gauge", "1 when the multi-window SLO burn-rate rule says degraded.")
+        .scalar(name, u64::from(s.window.degraded()));
+}
+
+fn window_label(wd: &WindowStats) -> String {
+    wd.target_s.to_string() + "s"
+}
+
+/// The profiler attribution, present once a thread has registered.
+fn prof_prom(s: &RuntimeStats, w: &mut PromWriter) {
+    if s.prof.threads.is_empty() {
+        return;
+    }
+    fields_prom(PROF, &s.prof, w);
+    let name = "algas_prof_samples_total";
+    w.family(name, "counter", "Sampler observations per thread and state (profiler attribution).");
+    for t in &s.prof.threads {
+        for sc in &t.states {
+            let labels = [("kind", t.kind.as_str()), ("thread", &t.label), ("state", &sc.state)];
+            w.sample(name, &labels, sc.samples as f64);
+        }
     }
 }
 
@@ -1488,6 +1087,14 @@ mod tests {
         // A tampered histogram count is caught.
         let tampered = sample_stats().to_json().replacen("\"count\":5", "\"count\":6", 1);
         assert!(RuntimeStats::from_json(&tampered).is_err());
+        // Bucket counts that overflow u64 when summed are an error, not
+        // a panic.
+        let hostile = sample_stats().to_json().replacen(
+            "\"buckets\":[]",
+            "\"buckets\":[[1,18446744073709551615],[2,18446744073709551615]]",
+            1,
+        );
+        assert!(RuntimeStats::from_json(&hostile).is_err());
     }
 
     #[test]

@@ -88,34 +88,32 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         k => return Err(invalid(&format!("unknown graph kind tag {k}"))),
     };
     let medoid = h.get_u32_le();
-    let store_len = h.get_u64_le() as usize;
-    let graph_len = h.get_u64_le() as usize;
+    let store_len = h.get_u64_le();
+    let graph_len = h.get_u64_le();
     let perm_len = if version >= 2 {
         let mut ext = [0u8; 8];
         r.read_exact(&mut ext).map_err(|_| invalid("truncated v2 header"))?;
-        u64::from_le_bytes(ext) as usize
+        u64::from_le_bytes(ext)
     } else {
         0
     };
     let quant_len = if version >= 3 {
         let mut ext = [0u8; 8];
         r.read_exact(&mut ext).map_err(|_| invalid("truncated v3 header"))?;
-        u64::from_le_bytes(ext) as usize
+        u64::from_le_bytes(ext)
     } else {
         0
     };
     let entry_len = if version >= 4 {
         let mut ext = [0u8; 8];
         r.read_exact(&mut ext).map_err(|_| invalid("truncated v4 header"))?;
-        u64::from_le_bytes(ext) as usize
+        u64::from_le_bytes(ext)
     } else {
         0
     };
 
-    let mut store_blob = vec![0u8; store_len];
-    r.read_exact(&mut store_blob).map_err(|_| invalid("truncated corpus section"))?;
-    let mut graph_blob = vec![0u8; graph_len];
-    r.read_exact(&mut graph_blob).map_err(|_| invalid("truncated graph section"))?;
+    let store_blob = read_section(&mut r, store_len, "corpus")?;
+    let graph_blob = read_section(&mut r, graph_len, "graph")?;
 
     let base = algas_vector::binary::decode_store(&store_blob)?;
     let graph = algas_graph::binary::decode_graph(&graph_blob)?;
@@ -126,8 +124,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         return Err(invalid("medoid out of range"));
     }
     let id_map = if perm_len > 0 {
-        let mut perm_blob = vec![0u8; perm_len];
-        r.read_exact(&mut perm_blob).map_err(|_| invalid("truncated permutation section"))?;
+        let perm_blob = read_section(&mut r, perm_len, "permutation")?;
         let perm = algas_graph::binary::decode_permutation(&perm_blob)?;
         if perm.len() != base.len() {
             return Err(invalid("permutation/corpus size mismatch"));
@@ -137,8 +134,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let quant = if quant_len > 0 {
-        let mut quant_blob = vec![0u8; quant_len];
-        r.read_exact(&mut quant_blob).map_err(|_| invalid("truncated quantization section"))?;
+        let quant_blob = read_section(&mut r, quant_len, "quantization")?;
         let quant = algas_vector::binary::decode_quantized(&quant_blob)?;
         if quant.len() != base.len() || quant.dim() != base.dim() {
             return Err(invalid("quantized/corpus shape mismatch"));
@@ -148,8 +144,7 @@ pub fn read_index<R: Read>(mut r: R) -> io::Result<AlgasIndex> {
         None
     };
     let entry = if entry_len > 0 {
-        let mut entry_blob = vec![0u8; entry_len];
-        r.read_exact(&mut entry_blob).map_err(|_| invalid("truncated entry section"))?;
+        let entry_blob = read_section(&mut r, entry_len, "entry")?;
         Some(algas_graph::binary::decode_entry_index(&entry_blob, base.len())?)
     } else {
         None
@@ -174,6 +169,19 @@ impl AlgasIndex {
     pub fn load(path: impl AsRef<Path>) -> io::Result<AlgasIndex> {
         read_index(std::fs::File::open(path)?)
     }
+}
+
+/// Reads a `len`-byte section. The length comes from the file header,
+/// so the buffer grows with the bytes actually present rather than
+/// being allocated up front: a corrupt length fails as a short read
+/// instead of aborting on allocation.
+fn read_section<R: Read>(r: &mut R, len: u64, name: &str) -> io::Result<Vec<u8>> {
+    let mut blob = Vec::new();
+    r.take(len).read_to_end(&mut blob)?;
+    if blob.len() as u64 != len {
+        return Err(invalid(&format!("truncated {name} section")));
+    }
+    Ok(blob)
 }
 
 fn invalid(msg: &str) -> io::Error {
@@ -375,5 +383,23 @@ mod tests {
         write_index(&mut qbuf, &q_index).unwrap();
         qbuf.truncate(qbuf.len() - 3);
         assert!(read_index(std::io::Cursor::new(qbuf)).is_err());
+        // A header length larger than the file, for every section of a
+        // file that carries all five: the reader fails with InvalidData
+        // instead of allocating the claimed length up front (which
+        // aborts at 2^44 bytes and panics at 2^63).
+        let mut full = sample_index();
+        full.relayout();
+        full.quantize();
+        full.build_entry_index(&algas_graph::entry::EntryParams::default());
+        let mut fbuf = Vec::new();
+        write_index(&mut fbuf, &full).unwrap();
+        for offset in [14, 22, 30, 38, 46] {
+            for len in [1u64 << 44, 1 << 63] {
+                let mut bad = fbuf.clone();
+                bad[offset..offset + 8].copy_from_slice(&len.to_le_bytes());
+                let err = read_index(std::io::Cursor::new(bad)).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "offset {offset}, len {len}");
+            }
+        }
     }
 }

@@ -235,7 +235,7 @@ impl AlgasServer {
             submissions: submit_rx,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
-            obs: RuntimeObs::with_telemetry(
+            obs: RuntimeObs::new(
                 cfg.n_slots,
                 cfg.n_workers,
                 cfg.n_host_threads,
