@@ -1,14 +1,9 @@
 //! Fig 18 backing bench: the dynamic simulator under host-thread and
-//! state-mode sweeps, plus the *native* threaded runtime under real
-//! concurrent load.
+//! state-mode sweeps. The native runtime has no host-thread role (its
+//! workers deliver their own results), so Fig 18 stays simulated.
 
-use algas_core::engine::{AlgasEngine, AlgasIndex, EngineConfig};
-use algas_core::runtime::{AlgasServer, RuntimeConfig};
 use algas_gpu_sim::sched::dynamic::{run_dynamic, DynamicConfig, StateMode};
 use algas_gpu_sim::QueryWork;
-use algas_graph::cagra::CagraParams;
-use algas_vector::datasets::DatasetSpec;
-use algas_vector::Metric;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,46 +37,5 @@ fn bench_host_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_native_runtime(c: &mut Criterion) {
-    let ds = DatasetSpec::tiny(1_500, 24, Metric::L2, 181).generate();
-    let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-    let mut group = c.benchmark_group("native_runtime");
-    group.sample_size(10);
-    for hosts in [1usize, 2] {
-        group.bench_with_input(BenchmarkId::new("host_threads", hosts), &hosts, |b, &hosts| {
-            b.iter(|| {
-                let engine = AlgasEngine::new(
-                    index.clone(),
-                    EngineConfig { k: 8, l: 32, slots: 8, ..Default::default() },
-                )
-                .unwrap();
-                let server = AlgasServer::start(
-                    engine,
-                    RuntimeConfig {
-                        n_slots: 8,
-                        n_workers: 2,
-                        n_host_threads: hosts,
-                        queue_capacity: 256,
-                        ..Default::default()
-                    },
-                );
-                let rxs: Vec<_> = (0..64)
-                    .map(|i| {
-                        server
-                            .submit(ds.queries.get(i % ds.queries.len()).to_vec())
-                            .expect("accepting")
-                            .1
-                    })
-                    .collect();
-                for rx in rxs {
-                    black_box(rx.recv().expect("reply").ids.len());
-                }
-                server.shutdown();
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_host_threads, bench_native_runtime);
+criterion_group!(benches, bench_host_threads);
 criterion_main!(benches);

@@ -129,10 +129,7 @@ fn serve_session(
         ..Default::default()
     };
     let engine = AlgasEngine::new(index.clone(), cfg).expect("tuning");
-    let server = AlgasServer::start(
-        engine,
-        RuntimeConfig { n_slots: 8, n_workers: 2, n_host_threads: 1, ..Default::default() },
-    );
+    let server = AlgasServer::start(engine, RuntimeConfig { n_workers: 2, ..Default::default() });
     let clients = 8usize;
     let per_client = (8 * queries.len() / clients).max(128);
     // Shared warm-up arithmetic with the open-loop net generator: the

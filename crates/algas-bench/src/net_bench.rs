@@ -44,19 +44,13 @@ const K: usize = 10;
 const L: usize = 64;
 const SEED: u64 = 0xB1A5;
 
-/// Worker/host parallelism scaled to the machine: on a single
-/// hardware thread, extra runtime threads only add context switching —
-/// and the network path brings its own readiness-loop and
-/// client threads on top.
+/// Worker parallelism scaled to the machine: on a single hardware
+/// thread, extra runtime threads only add context switching — and the
+/// network path brings its own readiness-loop and client threads on
+/// top.
 fn runtime_config(queue_capacity: usize) -> RuntimeConfig {
     let par = std::thread::available_parallelism().map_or(1, |n| n.get());
-    RuntimeConfig {
-        n_slots: 16,
-        n_workers: if par >= 4 { 2 } else { 1 },
-        n_host_threads: if par >= 4 { 2 } else { 1 },
-        queue_capacity,
-        ..Default::default()
-    }
+    RuntimeConfig { n_workers: if par >= 4 { 2 } else { 1 }, queue_capacity, ..Default::default() }
 }
 
 fn start_runtime(index: &AlgasIndex, queue_capacity: usize) -> AlgasServer {
@@ -297,7 +291,6 @@ pub fn run(scale: f64, out_path: &str) {
                 ("dim", Value::Uint(DIM as u64)),
                 ("k", Value::Uint(K as u64)),
                 ("l", Value::Uint(L as u64)),
-                ("n_slots", Value::Uint(16)),
                 ("n_workers", Value::Uint(runtime_config(4096).n_workers as u64)),
                 ("seed", Value::Uint(SEED)),
                 ("slo_us", Value::Uint(slo.as_micros() as u64)),

@@ -57,13 +57,7 @@ pub fn run(scale: f64, out_path: &str) {
 
     let cfg = EngineConfig { k: K, l: L, slots: 16, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).expect("tuning");
-    let runtime_cfg = RuntimeConfig {
-        n_slots: 16,
-        n_workers: 2,
-        n_host_threads: 2,
-        queue_capacity: 4096,
-        ..Default::default()
-    };
+    let runtime_cfg = RuntimeConfig { n_workers: 2, queue_capacity: 4096, ..Default::default() };
     let server = AlgasServer::start(engine, runtime_cfg);
 
     // Closed-loop waves: submit the whole query set, drain, repeat —
@@ -105,9 +99,7 @@ pub fn run(scale: f64, out_path: &str) {
                 ("dim", Value::Uint(DIM as u64)),
                 ("k", Value::Uint(K as u64)),
                 ("l", Value::Uint(L as u64)),
-                ("n_slots", Value::Uint(runtime_cfg.n_slots as u64)),
                 ("n_workers", Value::Uint(runtime_cfg.n_workers as u64)),
-                ("n_host_threads", Value::Uint(runtime_cfg.n_host_threads as u64)),
                 ("queries", Value::Uint(total as u64)),
             ]),
         ),

@@ -223,13 +223,7 @@ fn measure(scale: f64) -> Vec<(String, Value)> {
     // Default flight config: always-on rings, top-8 reservoir — the
     // exact configuration `serve` runs with out of the box, so the
     // overhead measured here is the overhead shipped.
-    let runtime_cfg = RuntimeConfig {
-        n_slots: 16,
-        n_workers: 2,
-        n_host_threads: 2,
-        queue_capacity: 4096,
-        ..Default::default()
-    };
+    let runtime_cfg = RuntimeConfig { n_workers: 2, queue_capacity: 4096, ..Default::default() };
     let server = AlgasServer::start(engine, runtime_cfg);
 
     let mut rounds = Vec::with_capacity(REPS);

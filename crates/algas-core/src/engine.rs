@@ -7,7 +7,7 @@
 //! [`algas_gpu_sim::QueryWork`] for the batching simulators.
 
 use crate::control::{ControlConfig, SloController};
-use crate::merge::{merge_topk_into, HostCostModel, MergeScratch};
+use crate::merge::{merge_topk_into, HostCostModel, MergeScratch, MergeStats};
 use crate::search::intra::IntraParams;
 use crate::search::multi::{search_multi_seeded_into, MultiParams, MultiResult, MultiScratch};
 use crate::search::{BeamParams, SearchContext};
@@ -348,6 +348,12 @@ impl SearchScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Per-CTA merge counters accumulated across searches on this
+    /// scratch (one merge per search).
+    pub fn merge_stats(&self) -> MergeStats {
+        self.merge.stats
+    }
 }
 
 /// The engine.
@@ -363,10 +369,12 @@ impl AlgasEngine {
     /// Creates an engine, running the adaptive tuner.
     ///
     /// # Errors
-    /// Returns the tuner's error when the slot count or list sizes
-    /// cannot be made resident on the device.
+    /// Returns the tuner's error when the slot count or list sizes are
+    /// invalid or cannot be made resident on the device.
     pub fn new(mut index: AlgasIndex, cfg: EngineConfig) -> Result<Self, TuningError> {
-        assert!(cfg.k > 0 && cfg.l >= cfg.k, "need 0 < k <= L");
+        if cfg.k == 0 || cfg.l < cfg.k {
+            return Err(TuningError::InvalidListSize { k: cfg.k, l: cfg.l });
+        }
         if cfg.quantize && index.quant.is_none() {
             index.quantize();
         }
@@ -513,8 +521,8 @@ impl AlgasEngine {
     /// Allocation-free search leaving the merged TopK in *physical*
     /// (post-relayout) ids. [`search_into`](Self::search_into) is this
     /// plus the translation back to the caller's original id space; the
-    /// serving runtime calls this variant because its host pollers
-    /// translate once at delivery.
+    /// serving runtime calls this variant because its workers translate
+    /// once at delivery.
     ///
     /// On a quantized engine the traversal scores SQ8 codes, the
     /// per-CTA pools are merged [`rerank_depth`](Self::rerank_depth)

@@ -20,8 +20,8 @@
 //!   search + [`algas_gpu_sim::QueryWork`] production for the batching
 //!   simulators.
 //! * [`runtime`] — a real threaded implementation of the architecture
-//!   (persistent workers, atomic slots, host pollers) usable as a CPU
-//!   ANNS server.
+//!   (persistent workers that each own an atomic slot and serve a query
+//!   from the queue to its reply) usable as a CPU ANNS server.
 //! * [`net`] — the TCP network front end: length-prefixed binary
 //!   protocol, a poll/park readiness loop with pipelined out-of-order
 //!   completion and RETRY_AFTER backpressure, a blocking client, and

@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 
 /// Fixed registry capacity: the serving runtime registers a handful of
-/// threads (workers + hosts + net + qlog + sampler), so 64 slots is
+/// threads (workers + net + qlog + sampler), so 64 slots is
 /// generous. Registration past capacity yields a dead handle whose
 /// stamps are no-ops — never an error on the serving path.
 pub const MAX_THREADS: usize = 64;
@@ -47,7 +47,9 @@ pub const N_STATES: usize = 16;
 pub enum ThreadKind {
     /// Search worker (`algas-worker-N`).
     Worker = 0,
-    /// Host merge/delivery poller (`algas-host-N`).
+    /// Host merge/delivery poller. The native runtime no longer has
+    /// one (workers deliver their own results); kept so snapshots that
+    /// name it still parse.
     Host = 1,
     /// Net readiness loop (`algas-net`).
     Net = 2,
@@ -101,13 +103,16 @@ pub enum ProfState {
     /// Worker: exact re-rank pass (only distinguishable from
     /// [`Scan`](ProfState::Scan) if the engine ever splits the span).
     Rerank = 3,
-    /// Worker: publishing per-CTA results back into the slot.
+    /// Publishing per-CTA results back into the slot (unused by the
+    /// one-role runtime; kept for old snapshots).
     Publish = 4,
-    /// Host: merging per-CTA lists into the final TopK.
+    /// Worker: taking the merged TopK as the reply (externalizing
+    /// ids, building the reply vectors).
     Merge = 5,
-    /// Host: externalizing ids + building and sending the reply.
+    /// Worker: accounting, telemetry and sending the reply.
     Deliver = 6,
-    /// Host: draining the submission queue into free slots.
+    /// Draining the submission queue into free slots (unused by the
+    /// one-role runtime; kept for old snapshots).
     Refill = 7,
     /// Net: accepting new connections.
     Accept = 8,

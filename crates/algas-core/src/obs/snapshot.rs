@@ -55,7 +55,8 @@ pub struct WorkerStats {
     pub idle_passes: u64,
 }
 
-/// Per-host-poller counters.
+/// Per-host-poller counters. The native runtime has no separate poller:
+/// worker `w` fills block `w`. The simulator keeps a real host role.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Results merged and delivered by this poller.
@@ -134,7 +135,8 @@ pub struct RuntimeStats {
     pub n_slots: usize,
     /// Configured worker-thread count.
     pub n_workers: usize,
-    /// Configured host-poller count.
+    /// Configured host-poller count (the worker count for the native
+    /// runtime, whose workers deliver their own results).
     pub n_host_threads: usize,
     /// Queries accepted into the submission queue.
     pub submitted: u64,

@@ -2,43 +2,42 @@
 //!
 //! The simulators in `algas-gpu-sim` answer the paper's *performance*
 //! questions; this module implements the same architecture as a real
-//! concurrent system, validating the slot protocol under an actual
-//! memory model and doubling as a usable low-latency CPU ANNS server:
+//! concurrent system and doubles as a usable low-latency CPU ANNS
+//! server:
 //!
-//! * **Persistent workers** stand in for the persistent kernel's CTAs:
-//!   spawned once, they poll their slots' states (`Work`?) instead of
-//!   being launched per query.
-//! * **Slots** carry one in-flight query each in a payload cell guarded
-//!   by the [`AtomicSlotState`] protocol — the `Work`/`Finish` edges
-//!   publish the payload exactly as §V-A's state copies do.
-//! * **Host pollers** scan their slot subsets (§V-B's partitioned
-//!   ownership), merge per-CTA TopK lists on the CPU (§IV-B), deliver
-//!   results, and refill slots from the submission queue.
+//! * **Persistent workers** stand in for the persistent kernel: spawned
+//!   once, they poll the submission queue instead of being launched per
+//!   query.
+//! * **One slot per worker**, owned by that worker, follows the
+//!   [`AtomicSlotState`] protocol (`Work` → `Finish` → `Done`), so the
+//!   occupancy gauge and the per-slot flight rings keep §V-A's slot
+//!   vocabulary.
+//! * **No separate host role.** On the GPU the host merges per-CTA TopK
+//!   lists (§IV-B) so CTAs never synchronise, and host threads own slot
+//!   subsets (§V-B). Here the CTAs are host threads already: all
+//!   `N_parallel` walkers of a query run on one worker, which merges
+//!   their lists as the search ends. A second thread picking the lists
+//!   up would only hand work across cores, so each worker carries its
+//!   query from the queue to the reply.
 
 use crate::engine::{AlgasEngine, SearchScratch};
-use crate::merge::{merge_topk_into, MergeScratch};
 use crate::obs::{
-    self, DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, ProfState, QlogConfig, QlogTotals,
-    QueryTrace, RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
+    self, DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, ProfHandle, ProfState, QlogConfig,
+    QlogTotals, QueryTrace, RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
 };
 use crate::state::{AtomicSlotState, SlotState};
-use algas_vector::metric::DistValue;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
+use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Runtime shape: how many slots and how many threads on each side.
+/// Runtime shape: how many workers and how deep the queue.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
-    /// Independent slots (in-flight queries).
-    pub n_slots: usize,
-    /// Persistent worker threads (the "GPU"); slots are assigned
-    /// round-robin.
+    /// Persistent worker threads; each owns one slot and serves its
+    /// queries from dequeue to reply.
     pub n_workers: usize,
-    /// Host poller threads (§V-B); slots are assigned round-robin.
-    pub n_host_threads: usize,
     /// Bound of the submission queue (backpressure for open-loop
     /// clients).
     pub queue_capacity: usize,
@@ -59,9 +58,7 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
-            n_slots: 16,
             n_workers: 2,
-            n_host_threads: 1,
             queue_capacity: 1024,
             flight: FlightConfig::default(),
             qlog: QlogConfig::default(),
@@ -108,35 +105,39 @@ struct Job {
     /// Wire identity for trace/query-log keying (request id = tag for
     /// local submissions).
     wire: WireCtx,
-    /// Graph hops the search took; written by the worker under the
-    /// payload lock, read at delivery for the query log.
-    hops: u32,
-    /// Worker thread that executed the search.
-    worker: u32,
-}
-
-/// Per-slot payload cell. The state machine serializes access: the
-/// host writes `job` before `None/Done → Work`; workers read it after
-/// observing `Work` and write `results` before `Work → Finish`; the
-/// host reads results after observing `Finish`.
-#[derive(Default)]
-struct SlotPayload {
-    job: Option<Job>,
-    per_cta: Vec<Vec<(DistValue, u32)>>,
-}
-
-struct Slot {
-    state: AtomicSlotState,
-    payload: Mutex<SlotPayload>,
 }
 
 #[derive(Default)]
 struct Stats {
-    submitted: std::sync::atomic::AtomicU64,
-    completed: std::sync::atomic::AtomicU64,
-    rejected_queue_full: std::sync::atomic::AtomicU64,
-    service_ns_total: std::sync::atomic::AtomicU64,
-    max_service_ns: std::sync::atomic::AtomicU64,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    rejected_queue_full: AtomicU64,
+    service_ns_total: AtomicU64,
+    max_service_ns: AtomicU64,
+}
+
+impl Stats {
+    /// `(submitted, completed)` with `completed <= submitted`: a job is
+    /// counted as submitted before it is enqueued and as completed
+    /// after it was served, so loading `completed` first (Acquire,
+    /// pairing with the worker's Release) can never see a completion
+    /// whose submission the second load misses.
+    fn submitted_completed(&self) -> (u64, u64) {
+        let completed = self.completed.load(Ordering::Acquire);
+        race_window();
+        (self.submitted.load(Ordering::Relaxed), completed)
+    }
+}
+
+/// Yields between paired accesses that other threads may interleave
+/// with, on threads a race test has opted in, so its checks hit those
+/// windows; a no-op outside `cfg(test)`.
+#[inline]
+fn race_window() {
+    #[cfg(test)]
+    if tests::RACE_WINDOWS.with(std::cell::Cell::get) {
+        std::thread::yield_now();
+    }
 }
 
 /// A point-in-time view of the server's counters.
@@ -172,7 +173,8 @@ impl StatsSnapshot {
 
 struct Shared {
     engine: AlgasEngine,
-    slots: Vec<Slot>,
+    /// One slot per worker, indexed by worker id.
+    slots: Vec<AtomicSlotState>,
     submissions: Receiver<Job>,
     shutdown: AtomicBool,
     stats: Stats,
@@ -182,14 +184,15 @@ struct Shared {
 /// Handle to a running server; dropping it shuts the server down.
 pub struct AlgasServer {
     shared: Arc<Shared>,
-    cfg: RuntimeConfig,
-    submit_tx: Sender<Job>,
-    workers: Vec<JoinHandle<()>>,
-    hosts: Vec<JoinHandle<()>>,
-    /// The obs tick thread (profiler sampler + window rotation); absent
-    /// with `obs` compiled out.
-    ticker: Option<JoinHandle<()>>,
-    next_tag: std::sync::atomic::AtomicU64,
+    /// The submission queue's only sender. Shutdown takes it, so the
+    /// workers see `Disconnected` once they have drained the queue; a
+    /// submit holds the read lock across its enqueue, so no accepted
+    /// query can land after the workers exit.
+    submit_tx: RwLock<Option<Sender<Job>>>,
+    /// Workers plus the obs tick thread (absent with `obs` compiled
+    /// out); emptied by the first shutdown.
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    next_tag: AtomicU64,
 }
 
 /// A submitted query's tag plus the channel its reply arrives on.
@@ -216,75 +219,59 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 impl AlgasServer {
-    /// Starts the server: spawns persistent workers and host pollers.
+    /// Starts the server: spawns the persistent workers.
     ///
     /// # Panics
-    /// Panics on a zero-sized configuration.
+    /// Panics if `cfg.n_workers` is zero.
     pub fn start(engine: AlgasEngine, cfg: RuntimeConfig) -> Self {
-        assert!(cfg.n_slots > 0 && cfg.n_workers > 0 && cfg.n_host_threads > 0);
+        assert!(cfg.n_workers > 0, "need at least one worker");
         let (submit_tx, submit_rx) = bounded(cfg.queue_capacity.max(1));
-        let slots = (0..cfg.n_slots)
-            .map(|_| Slot {
-                state: AtomicSlotState::new(),
-                payload: Mutex::new(SlotPayload::default()),
-            })
-            .collect();
         let shared = Arc::new(Shared {
             engine,
-            slots,
+            slots: (0..cfg.n_workers).map(|_| AtomicSlotState::new()).collect(),
             submissions: submit_rx,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
+            // The snapshot schema keeps per-host blocks; worker `w`
+            // delivers its own results into block `w`.
             obs: RuntimeObs::new(
-                cfg.n_slots,
                 cfg.n_workers,
-                cfg.n_host_threads,
+                cfg.n_workers,
+                cfg.n_workers,
                 cfg.flight,
                 cfg.qlog,
                 cfg.tick,
             ),
         });
 
-        let workers = (0..cfg.n_workers)
+        let mut threads: Vec<JoinHandle<()>> = (0..cfg.n_workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
-                let stride = cfg.n_workers;
                 std::thread::Builder::new()
                     .name(format!("algas-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w, stride))
+                    .spawn(move || worker_loop(&shared, w))
                     .expect("spawn worker")
-            })
-            .collect();
-        let hosts = (0..cfg.n_host_threads)
-            .map(|h| {
-                let shared = Arc::clone(&shared);
-                let stride = cfg.n_host_threads;
-                std::thread::Builder::new()
-                    .name(format!("algas-host-{h}"))
-                    .spawn(move || host_loop(&shared, h, stride))
-                    .expect("spawn host poller")
             })
             .collect();
 
         // One background thread drives both the thread-state sampler
         // and the window ring rotation; with `obs` compiled out there
         // is nothing to drive, so none is spawned.
-        let ticker = obs::OBS_ENABLED.then(|| {
+        if obs::OBS_ENABLED {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("algas-obs-tick".to_string())
-                .spawn(move || shared.obs.run_ticker(&shared.shutdown))
-                .expect("spawn obs ticker")
-        });
+            threads.push(
+                std::thread::Builder::new()
+                    .name("algas-obs-tick".to_string())
+                    .spawn(move || shared.obs.run_ticker(&shared.shutdown))
+                    .expect("spawn obs ticker"),
+            );
+        }
 
         Self {
             shared,
-            cfg,
-            submit_tx,
-            workers,
-            hosts,
-            ticker,
-            next_tag: std::sync::atomic::AtomicU64::new(0),
+            submit_tx: RwLock::new(Some(submit_tx)),
+            threads: Mutex::new(threads),
+            next_tag: AtomicU64::new(0),
         }
     }
 
@@ -324,9 +311,10 @@ impl AlgasServer {
         wire: Option<WireCtx>,
     ) -> Result<PendingReply, SubmitError> {
         assert_eq!(query.len(), self.shared.engine.index().base.dim(), "query dimension mismatch");
-        if self.shared.shutdown.load(Ordering::Acquire) {
+        let submit_tx = self.submit_tx.read();
+        let Some(submit_tx) = submit_tx.as_ref() else {
             return Err(SubmitError::ShuttingDown);
-        }
+        };
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = unbounded();
         let job = Job {
@@ -336,19 +324,26 @@ impl AlgasServer {
             submitted_at: std::time::Instant::now(),
             stamps: JobStamps::new(),
             wire: wire.unwrap_or(WireCtx { request_id: tag, conn_id: 0, client_ts_us: 0 }),
-            hops: 0,
-            worker: 0,
         };
-        match self.submit_tx.try_send(job) {
-            Ok(()) => {
-                self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok((tag, reply_rx))
-            }
+        // Count before enqueueing: a worker may serve the job before
+        // `try_send` even returns, and `completed` must never pass
+        // `submitted`.
+        let submitted = &self.shared.stats.submitted;
+        submitted.fetch_add(1, Ordering::Relaxed);
+        race_window();
+        let sent = submit_tx.try_send(job);
+        race_window();
+        match sent {
+            Ok(()) => Ok((tag, reply_rx)),
             Err(TrySendError::Full(_)) => {
+                submitted.fetch_sub(1, Ordering::Relaxed);
                 self.shared.stats.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::QueueFull)
             }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
+            Err(TrySendError::Disconnected(_)) => {
+                submitted.fetch_sub(1, Ordering::Relaxed);
+                Err(SubmitError::ShuttingDown)
+            }
         }
     }
 
@@ -366,9 +361,10 @@ impl AlgasServer {
 
     /// A snapshot of the serving counters.
     pub fn stats(&self) -> StatsSnapshot {
+        let (submitted, completed) = self.shared.stats.submitted_completed();
         StatsSnapshot {
-            submitted: self.shared.stats.submitted.load(Ordering::Relaxed),
-            completed: self.shared.stats.completed.load(Ordering::Relaxed),
+            submitted,
+            completed,
             rejected_queue_full: self.shared.stats.rejected_queue_full.load(Ordering::Relaxed),
             service_ns_total: self.shared.stats.service_ns_total.load(Ordering::Relaxed),
             max_service_ns: self.shared.stats.max_service_ns.load(Ordering::Relaxed),
@@ -380,11 +376,11 @@ impl AlgasServer {
     /// histograms, and search/merge totals. The gauges and queue
     /// counters are always live; the breakdowns and histograms carry
     /// data only when the (default-on) `obs` feature is compiled in.
+    /// Each worker fills the per-host block of the same index.
     pub fn runtime_stats(&self) -> RuntimeStats {
-        let mut out =
-            RuntimeStats::empty(self.cfg.n_slots, self.cfg.n_workers, self.cfg.n_host_threads);
-        out.submitted = self.shared.stats.submitted.load(Ordering::Relaxed);
-        out.completed = self.shared.stats.completed.load(Ordering::Relaxed);
+        let n = self.shared.slots.len();
+        let mut out = RuntimeStats::empty(n, n, n);
+        (out.submitted, out.completed) = self.shared.stats.submitted_completed();
         out.rejected_queue_full = self.shared.stats.rejected_queue_full.load(Ordering::Relaxed);
         out.queue_depth = self.shared.submissions.len() as u64;
         let index = self.shared.engine.index();
@@ -394,7 +390,7 @@ impl AlgasServer {
             .shared
             .slots
             .iter()
-            .filter(|s| matches!(s.state.load(), SlotState::Work | SlotState::Finish))
+            .filter(|s| matches!(s.load(), SlotState::Work | SlotState::Finish))
             .count() as u64;
         self.shared.obs.populate(&mut out);
         // The controller lives in the engine, not the recorder; the
@@ -511,21 +507,17 @@ impl AlgasServer {
         Ok(out)
     }
 
-    /// Stops accepting queries, drains in-flight work, joins all
-    /// threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
+    /// Stops accepting queries, lets the workers drain every query
+    /// already accepted, and joins all threads. Safe to call while
+    /// other threads are still submitting (they get
+    /// [`SubmitError::ShuttingDown`]) and more than once.
+    pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for h in self.hosts.drain(..) {
-            let _ = h.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(t) = self.ticker.take() {
+        // Dropping the only sender disconnects the queue: each worker
+        // serves what is left and exits on `Disconnected`.
+        drop(self.submit_tx.write().take());
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for t in threads {
             let _ = t.join();
         }
     }
@@ -533,9 +525,7 @@ impl AlgasServer {
 
 impl Drop for AlgasServer {
     fn drop(&mut self) {
-        if !self.hosts.is_empty() || !self.workers.is_empty() {
-            self.shutdown_inner();
-        }
+        self.shutdown();
     }
 }
 
@@ -581,13 +571,15 @@ impl crate::obs::StatsSource for AlgasServer {
     }
 }
 
-/// Bounded spin-then-yield backoff for the polling loops (crossbeam
-/// `Backoff`-style). A poller that just found work spins in short
-/// `spin_loop` bursts — a slot may flip any nanosecond and an OS yield
-/// would cost microseconds of latency — but each idle pass doubles the
-/// burst, and once the wait stretches past `SPIN_LIMIT` passes the
-/// poller falls back to `yield_now`, so idle slots stop burning a full
-/// core. Finding work resets the backoff to hot spinning.
+/// Bounded spin-then-yield backoff for the workers' idle wait (crossbeam
+/// `Backoff`-style). A worker that just served a query spins in short
+/// `spin_loop` bursts — the next query may arrive any nanosecond and an
+/// OS yield would cost microseconds of latency — but each empty poll
+/// doubles the burst, and once the wait stretches past `SPIN_LIMIT`
+/// polls the worker falls back to `yield_now`, so an idle worker stops
+/// burning a full core. Finding work resets the backoff to hot
+/// spinning. Parking in a blocking `recv` instead costs the wake-up on
+/// every query of a lightly loaded server.
 struct Backoff {
     step: u32,
 }
@@ -600,7 +592,7 @@ impl Backoff {
         Self { step: 0 }
     }
 
-    /// Waits a little; call after a pass over the slots found no work.
+    /// Waits a little; call after a poll that found no work.
     fn snooze(&mut self) {
         if self.step <= Self::SPIN_LIMIT {
             for _ in 0..1u32 << self.step {
@@ -612,243 +604,128 @@ impl Backoff {
         }
     }
 
-    /// Back to hot spinning; call after a pass that did work.
+    /// Back to hot spinning; call after a poll that did work.
     fn reset(&mut self) {
         self.step = 0;
     }
 }
 
-/// Persistent worker ("CTA group"): polls owned slots for `Work`,
-/// executes the multi-CTA search, publishes per-CTA lists, flips to
-/// `Finish`. Exits once every owned slot reaches `Quit`.
-fn worker_loop(shared: &Shared, first: usize, stride: usize) {
+/// Persistent worker `w`: takes queries off the submission queue and
+/// serves each one to its reply. Exits once shutdown has dropped the
+/// sender and the queue is drained.
+fn worker_loop(shared: &Shared, w: usize) {
     // Per-worker reusable state: search scratch (candidate lists,
-    // visited bitmap, per-CTA buffers) and a query staging buffer.
-    // After the first few queries warm these up, the steady-state
-    // serving path performs no heap allocation in this thread.
+    // visited bitmap, per-CTA buffers, the merged TopK). After the
+    // first few queries warm it up, the search itself performs no heap
+    // allocation in this thread; only the reply's own vectors do.
     let mut scratch = SearchScratch::new();
-    let mut query_buf: Vec<f32> = Vec::new();
     let mut backoff = Backoff::new();
     // Thread-state marker for the sampling profiler: each stamp is one
     // relaxed store into this thread's own cache-padded cell (a no-op
     // with `obs` off). Dropping the handle on exit clears the marker.
-    let prof = shared.obs.prof_registry().register(ThreadKind::Worker, &format!("worker-{first}"));
+    let prof = shared.obs.prof_registry().register(ThreadKind::Worker, &format!("worker-{w}"));
     prof.stamp(ProfState::Idle);
     loop {
-        let mut all_quit = true;
-        let mut did_work = false;
-        for s in (first..shared.slots.len()).step_by(stride) {
-            let slot = &shared.slots[s];
-            match slot.state.load() {
-                SlotState::Quit => {}
-                SlotState::Work => {
-                    all_quit = false;
-                    prof.stamp(ProfState::Scan);
-                    // Copy the job's query into the reusable staging
-                    // buffer under the lock, then search without it.
-                    let tag = {
-                        let mut payload = slot.payload.lock();
-                        let job = payload.job.as_mut().expect("Work implies a job");
-                        job.stamps.mark_work_start();
-                        query_buf.clear();
-                        query_buf.extend_from_slice(&job.query);
-                        job.tag
-                    };
-                    let rerank_before = scratch.rerank;
-                    // Physical-id search: the host poller translates to
-                    // original ids exactly once, at delivery.
-                    shared.engine.search_physical_into(&query_buf, tag, &mut scratch);
-                    prof.stamp(ProfState::Publish);
-                    let stamps = {
-                        // Copy the result lists into the slot's own
-                        // buffers element-wise so both the scratch and
-                        // the slot keep their allocations across jobs.
-                        // A quantized engine already merged and exactly
-                        // re-ranked into `scratch.topk`, so it publishes
-                        // that single list (the host merge over one list
-                        // is the identity); the fp32 path publishes the
-                        // raw per-CTA lists for the host to merge.
-                        let mut payload = slot.payload.lock();
-                        if shared.engine.quantized() {
-                            payload.per_cta.resize_with(1, Vec::new);
-                            payload.per_cta[0].clear();
-                            payload.per_cta[0].extend_from_slice(&scratch.topk);
-                        } else {
-                            let src = scratch.multi.per_cta();
-                            payload.per_cta.resize_with(src.len(), Vec::new);
-                            for (dst, s) in payload.per_cta.iter_mut().zip(src) {
-                                dst.clear();
-                                dst.extend_from_slice(s);
-                            }
-                        }
-                        let job = payload.job.as_mut().expect("Work implies a job");
-                        job.stamps.mark_finish();
-                        // Stash the per-query facts only this thread
-                        // knows (hop count, worker id) for the query
-                        // log; the host reads them at delivery.
-                        job.hops =
-                            scratch.multi.step_totals().steps.min(u64::from(u32::MAX)) as u32;
-                        job.worker = first as u32;
-                        job.stamps
-                    };
-                    let rerank_delta = scratch.rerank.since(&rerank_before);
-                    shared.obs.record_search(first, s, &scratch.multi);
-                    shared.obs.record_rerank(first, &rerank_delta);
-                    shared.obs.flight_search(first, s, &scratch.multi, &rerank_delta, &stamps);
-                    let flipped = slot.state.transition(SlotState::Work, SlotState::Finish);
-                    debug_assert!(flipped, "only this worker moves Work -> Finish");
-                    did_work = true;
-                }
-                _ => all_quit = false,
+        match shared.submissions.try_recv() {
+            Ok(job) => {
+                serve(shared, w, job, &mut scratch, &prof);
+                shared.obs.worker_pass(w, true);
+                backoff.reset();
             }
-        }
-        if all_quit {
-            return;
-        }
-        shared.obs.worker_pass(first, did_work);
-        if did_work {
-            backoff.reset();
-        } else {
-            prof.stamp(ProfState::Idle);
-            backoff.snooze();
+            Err(TryRecvError::Empty) => {
+                shared.obs.worker_pass(w, false);
+                prof.stamp(ProfState::Idle);
+                backoff.snooze();
+            }
+            Err(TryRecvError::Disconnected) => return,
         }
     }
 }
 
-/// Host poller (§V-B): scans owned slots; on `Finish` merges and
-/// replies; on `None`/`Done` refills from the submission queue or, when
-/// shutting down with an empty queue, retires the slot to `Quit`.
-fn host_loop(shared: &Shared, first: usize, stride: usize) {
-    let k = shared.engine.config().k;
-    // The entry policy is fixed for the engine's lifetime; encode it
-    // once rather than per delivery.
-    let entry_code = obs::qlog::entry_policy_code(&shared.engine.config().entry_policy);
-    // Per-poller reusable merge state; the reply's own vectors still
-    // allocate because they are handed to the client.
-    let mut merge = MergeScratch::new();
-    let mut merged: Vec<(DistValue, u32)> = Vec::new();
-    let mut backoff = Backoff::new();
-    // Thread-state marker for the sampling profiler (see worker_loop).
-    let prof = shared.obs.prof_registry().register(ThreadKind::Host, &format!("host-{first}"));
-    prof.stamp(ProfState::Idle);
-    loop {
-        let mut all_quit = true;
-        let mut did_work = false;
-        for s in (first..shared.slots.len()).step_by(stride) {
-            let slot = &shared.slots[s];
-            let state = slot.state.load();
-            match state {
-                SlotState::Quit => continue,
-                SlotState::Finish => {
-                    all_quit = false;
-                    prof.stamp(ProfState::Merge);
-                    let merge_before = merge.stats;
-                    let picked_up = obs::stamp();
-                    let job = {
-                        let mut payload = slot.payload.lock();
-                        // Merge while holding the lock: the lists are
-                        // tiny (one length-k list per CTA) and this
-                        // keeps the slot's buffers in place for reuse.
-                        merge_topk_into(&payload.per_cta, k, &mut merge, &mut merged);
-                        payload.job.take().expect("Finish implies a job")
-                    };
-                    let merged_at = obs::stamp();
-                    prof.stamp(ProfState::Deliver);
-                    // Per-CTA lists carry physical (relayouted) ids;
-                    // replies speak the caller's original id space.
-                    shared.engine.index().externalize(&mut merged);
-                    let reply = SearchReply {
-                        tag: job.tag,
-                        ids: merged.iter().map(|&(_, id)| id).collect(),
-                        distances: merged.iter().map(|&(d, _)| d.0).collect(),
-                    };
-                    // Account the completed query before replying so a
-                    // caller observing the reply sees it counted.
-                    let service_ns = job.submitted_at.elapsed().as_nanos() as u64;
-                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.service_ns_total.fetch_add(service_ns, Ordering::Relaxed);
-                    shared.stats.max_service_ns.fetch_max(service_ns, Ordering::Relaxed);
-                    // Feed the SLO controller the submit→reply span it
-                    // regulates. When a cadence tick fires, stamp the
-                    // decision into this slot's flight ring before the
-                    // delivery events close the query's window.
-                    if let Some(d) = shared.engine.controller().observe(service_ns) {
-                        shared.obs.flight_record(
-                            s,
-                            obs::flight::EventKind::ControlAdjust,
-                            first as u32,
-                            d.level,
-                            d.reason as u32,
-                        );
-                    }
-                    // Telemetry lands before the reply too, so a client
-                    // observing its reply sees its query fully recorded
-                    // (the delivery stamp marks the send boundary).
-                    let ctx = DeliveryCtx {
-                        tag: job.tag,
-                        request_id: job.wire.request_id,
-                        conn_id: job.wire.conn_id,
-                        client_ts_us: job.wire.client_ts_us,
-                        worker: job.worker,
-                        hops: job.hops,
-                        slo_level: shared.engine.controller().level(),
-                        rerank_depth: shared.engine.rerank_depth().min(u32::MAX as usize) as u32,
-                        entry_code,
-                    };
-                    shared.obs.record_delivery(
-                        first,
-                        s,
-                        &ctx,
-                        &job.stamps,
-                        picked_up,
-                        merged_at,
-                        obs::stamp(),
-                        &merge.stats.since(&merge_before),
-                    );
-                    // The client may have dropped its receiver; fine.
-                    let _ = job.reply_to.send(reply);
-                    let flipped = slot.state.transition(SlotState::Finish, SlotState::Done);
-                    debug_assert!(flipped, "only this poller moves Finish -> Done");
-                    did_work = true;
-                }
-                SlotState::None | SlotState::Done => {
-                    all_quit = false;
-                    match shared.submissions.try_recv() {
-                        Ok(mut job) => {
-                            prof.stamp(ProfState::Refill);
-                            job.stamps.mark_slot();
-                            let stamps = job.stamps;
-                            slot.payload.lock().job = Some(job);
-                            shared.obs.slot_assigned(first, s, &stamps);
-                            let flipped = slot.state.transition(state, SlotState::Work);
-                            debug_assert!(flipped, "this poller owns the slot's host edges");
-                            did_work = true;
-                        }
-                        Err(_) => {
-                            if shared.shutdown.load(Ordering::Acquire) {
-                                let flipped = slot.state.transition(state, SlotState::Quit);
-                                debug_assert!(flipped);
-                                did_work = true;
-                            }
-                        }
-                    }
-                }
-                SlotState::Work => {
-                    all_quit = false;
-                }
-            }
-        }
-        if all_quit {
-            return;
-        }
-        shared.obs.host_pass(first, did_work);
-        if did_work {
-            backoff.reset();
-        } else {
-            prof.stamp(ProfState::Idle);
-            backoff.snooze();
-        }
+/// Serves one query on worker `w`, whose slot brackets the search
+/// (`Work`) and the delivery (`Finish`). The search leaves the merged
+/// (and, on a quantized engine, exactly re-ranked) TopK in
+/// `scratch.topk`, which becomes the reply.
+fn serve(shared: &Shared, w: usize, mut job: Job, scratch: &mut SearchScratch, prof: &ProfHandle) {
+    let slot = &shared.slots[w];
+    let idle = slot.load();
+    job.stamps.mark_slot();
+    shared.obs.slot_assigned(w, w, &job.stamps);
+    let flipped = slot.transition(idle, SlotState::Work);
+    debug_assert!(flipped, "only this worker moves its slot");
+
+    prof.stamp(ProfState::Scan);
+    job.stamps.mark_work_start();
+    let rerank_before = scratch.rerank;
+    let merge_before = scratch.merge_stats();
+    // Physical-id search; ids are translated to the caller's original
+    // space exactly once, below.
+    shared.engine.search_physical_into(&job.query, job.tag, scratch);
+    job.stamps.mark_finish();
+    let rerank_delta = scratch.rerank.since(&rerank_before);
+    shared.obs.record_search(w, w, &scratch.multi);
+    shared.obs.record_rerank(w, &rerank_delta);
+    shared.obs.flight_search(w, w, &scratch.multi, &rerank_delta, &job.stamps);
+    let flipped = slot.transition(SlotState::Work, SlotState::Finish);
+    debug_assert!(flipped, "only this worker moves its slot");
+
+    prof.stamp(ProfState::Merge);
+    let picked_up = obs::stamp();
+    shared.engine.index().externalize(&mut scratch.topk);
+    let reply = SearchReply {
+        tag: job.tag,
+        ids: scratch.topk.iter().map(|&(_, id)| id).collect(),
+        distances: scratch.topk.iter().map(|&(d, _)| d.0).collect(),
+    };
+    let merged_at = obs::stamp();
+    prof.stamp(ProfState::Deliver);
+    // Account the completed query before replying so a caller
+    // observing the reply sees it counted.
+    let service_ns = job.submitted_at.elapsed().as_nanos() as u64;
+    shared.stats.service_ns_total.fetch_add(service_ns, Ordering::Relaxed);
+    shared.stats.max_service_ns.fetch_max(service_ns, Ordering::Relaxed);
+    shared.stats.completed.fetch_add(1, Ordering::Release);
+    // Feed the SLO controller the submit→reply span it regulates. When
+    // a cadence tick fires, stamp the decision into this slot's flight
+    // ring before the delivery events close the query's window.
+    let controller = shared.engine.controller();
+    if let Some(d) = controller.observe(service_ns) {
+        shared.obs.flight_record(
+            w,
+            obs::flight::EventKind::ControlAdjust,
+            w as u32,
+            d.level,
+            d.reason as u32,
+        );
     }
+    // Telemetry lands before the reply too, so a client observing its
+    // reply sees its query fully recorded (the delivery stamp marks the
+    // send boundary).
+    let ctx = DeliveryCtx {
+        tag: job.tag,
+        request_id: job.wire.request_id,
+        conn_id: job.wire.conn_id,
+        client_ts_us: job.wire.client_ts_us,
+        worker: w as u32,
+        hops: scratch.multi.step_totals().steps.min(u64::from(u32::MAX)) as u32,
+        slo_level: controller.level(),
+        rerank_depth: shared.engine.rerank_depth().min(u32::MAX as usize) as u32,
+        entry_code: obs::qlog::entry_policy_code(&shared.engine.config().entry_policy),
+    };
+    shared.obs.record_delivery(
+        w,
+        w,
+        &ctx,
+        &job.stamps,
+        picked_up,
+        merged_at,
+        obs::stamp(),
+        &scratch.merge_stats().since(&merge_before),
+    );
+    // The client may have dropped its receiver; fine.
+    let _ = job.reply_to.send(reply);
+    let flipped = slot.transition(SlotState::Finish, SlotState::Done);
+    debug_assert!(flipped, "only this worker moves its slot");
 }
 
 #[cfg(test)]
@@ -859,25 +736,33 @@ mod tests {
     use algas_vector::datasets::DatasetSpec;
     use algas_vector::Metric;
 
+    thread_local! {
+        /// Whether [`race_window`] yields on this thread.
+        pub(super) static RACE_WINDOWS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Opts the calling thread into [`race_window`] yields.
+    fn widen_race_windows() {
+        RACE_WINDOWS.with(|w| w.set(true));
+    }
+
     fn test_server(
-        slots: usize,
         workers: usize,
-        hosts: usize,
     ) -> (AlgasServer, algas_vector::datasets::GeneratedDataset, AlgasEngine) {
         let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
         let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-        let cfg = EngineConfig { k: 8, l: 32, slots, beam: BeamMode::Auto, ..Default::default() };
+        let cfg = EngineConfig {
+            k: 8,
+            l: 32,
+            slots: workers,
+            beam: BeamMode::Auto,
+            ..Default::default()
+        };
         let server_engine = AlgasEngine::new(index.clone(), cfg).unwrap();
         let oracle = AlgasEngine::new(index, cfg).unwrap();
         let server = AlgasServer::start(
             server_engine,
-            RuntimeConfig {
-                n_slots: slots,
-                n_workers: workers,
-                n_host_threads: hosts,
-                queue_capacity: 256,
-                ..Default::default()
-            },
+            RuntimeConfig { n_workers: workers, queue_capacity: 256, ..Default::default() },
         );
         (server, ds, oracle)
     }
@@ -912,13 +797,7 @@ mod tests {
         relayouted.relayout();
         let server = AlgasServer::start(
             AlgasEngine::new(relayouted, cfg).unwrap(),
-            RuntimeConfig {
-                n_slots: 4,
-                n_workers: 2,
-                n_host_threads: 1,
-                queue_capacity: 64,
-                ..Default::default()
-            },
+            RuntimeConfig { n_workers: 2, queue_capacity: 64, ..Default::default() },
         );
         for i in 0..5 {
             let q = ds.queries.get(i).to_vec();
@@ -944,13 +823,7 @@ mod tests {
         assert!(oracle.quantized());
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
-            RuntimeConfig {
-                n_slots: 4,
-                n_workers: 2,
-                n_host_threads: 1,
-                queue_capacity: 64,
-                ..Default::default()
-            },
+            RuntimeConfig { n_workers: 2, queue_capacity: 64, ..Default::default() },
         );
         for i in 0..5 {
             let q = ds.queries.get(i).to_vec();
@@ -975,7 +848,7 @@ mod tests {
 
     #[test]
     fn serves_single_query_correctly() {
-        let (server, ds, oracle) = test_server(4, 2, 1);
+        let (server, ds, oracle) = test_server(2);
         let q = ds.queries.get(0).to_vec();
         let reply = server.search_blocking(q.clone()).unwrap();
         // tag 0 == query_id 0: identical entry hashing to the oracle.
@@ -987,7 +860,7 @@ mod tests {
 
     #[test]
     fn serves_many_queries_from_many_clients() {
-        let (server, ds, oracle) = test_server(8, 3, 2);
+        let (server, ds, oracle) = test_server(3);
         let server = Arc::new(server);
         let n = 40;
         let replies: Vec<SearchReply> = std::thread::scope(|scope| {
@@ -1028,7 +901,7 @@ mod tests {
 
     #[test]
     fn submit_batch_serves_everything() {
-        let (server, ds, oracle) = test_server(4, 2, 1);
+        let (server, ds, oracle) = test_server(2);
         let batch: Vec<Vec<f32>> =
             (0..12).map(|i| ds.queries.get(i % ds.queries.len()).to_vec()).collect();
         let pending = server.submit_batch(batch.clone()).unwrap();
@@ -1043,7 +916,7 @@ mod tests {
 
     #[test]
     fn stats_track_service() {
-        let (server, ds, _) = test_server(4, 2, 1);
+        let (server, ds, _) = test_server(2);
         assert_eq!(server.stats().completed, 0);
         for i in 0..10 {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
@@ -1060,20 +933,20 @@ mod tests {
 
     #[test]
     fn runtime_stats_report_counters_and_gauges() {
-        let (server, ds, _) = test_server(4, 2, 1);
+        let (server, ds, _) = test_server(2);
         for i in 0..10 {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
             let _ = server.search_blocking(q).unwrap();
         }
         let s = server.runtime_stats();
-        assert_eq!((s.n_slots, s.n_workers, s.n_host_threads), (4, 2, 1));
+        assert_eq!((s.n_slots, s.n_workers, s.n_host_threads), (2, 2, 2));
         assert_eq!((s.submitted, s.completed, s.rejected_queue_full), (10, 10, 0));
         // The breakdown vectors always carry the runtime shape, even
         // with `obs` compiled out (they're just all-zero then).
         assert_eq!(s.per_worker.len(), 2);
-        assert_eq!(s.per_host.len(), 1);
-        assert_eq!(s.per_slot.len(), 4);
-        assert!(s.queue_depth == 0 && s.slots_occupied <= 4);
+        assert_eq!(s.per_host.len(), 2);
+        assert_eq!(s.per_slot.len(), 2);
+        assert!(s.queue_depth == 0 && s.slots_occupied <= 2);
         #[cfg(feature = "obs")]
         {
             // search_blocking returned for every query, so every
@@ -1105,9 +978,7 @@ mod tests {
         let server = AlgasServer::start(
             engine,
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
-                n_host_threads: 1,
                 queue_capacity: 64,
                 // Retain everything: threshold 0 marks every query slow.
                 flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
@@ -1160,9 +1031,7 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 2,
                 n_workers: 1,
-                n_host_threads: 1,
                 queue_capacity: 64,
                 // Retain + log everything: threshold 0 marks all slow.
                 flight: FlightConfig { slow_threshold_ns: 0, ..Default::default() },
@@ -1219,9 +1088,7 @@ mod tests {
         let server = AlgasServer::start(
             AlgasEngine::new(index, cfg).unwrap(),
             RuntimeConfig {
-                n_slots: 4,
                 n_workers: 2,
-                n_host_threads: 1,
                 queue_capacity: 64,
                 // Park the ticker (no sampling, hour-long rotation) so
                 // this test drives rotations deterministically.
@@ -1271,7 +1138,7 @@ mod tests {
     #[test]
     fn live_profile_capture_attributes_thread_states() {
         use crate::obs::StatsSource;
-        let (server, ds, _) = test_server(4, 2, 1);
+        let (server, ds, _) = test_server(2);
         for i in 0..10 {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
             let _ = server.search_blocking(q).unwrap();
@@ -1289,13 +1156,41 @@ mod tests {
             folded.lines().any(|l| l.starts_with("worker;worker-")),
             "worker threads must appear in {folded:?}"
         );
-        assert!(
-            folded.lines().any(|l| l.starts_with("host;host-0;")),
-            "host threads must appear in {folded:?}"
-        );
+        assert!(!folded.contains("host;"), "no host poller thread exists in {folded:?}");
         // The StatsSource forwarding serves the same capture.
         assert!(!StatsSource::profile_folded(&server, 0.1).is_empty());
         assert_eq!(StatsSource::health_state(&server), "ok");
+
+        // Workers carry each query through to its reply: under load,
+        // sampling the markers directly must catch a worker in the
+        // merge or deliver state.
+        let reg = server.prof_registry();
+        let done = AtomicBool::new(false);
+        let caught = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0.. {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let q = ds.queries.get(i % ds.queries.len()).to_vec();
+                    let _ = server.search_blocking(q).unwrap();
+                }
+            });
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            let mut caught = false;
+            while !caught && std::time::Instant::now() < deadline {
+                for _ in 0..1_000 {
+                    reg.sample_once();
+                }
+                caught = reg.table().threads.iter().any(|t| {
+                    t.kind == "worker"
+                        && t.states.iter().any(|c| c.state == "merge" || c.state == "deliver")
+                });
+            }
+            done.store(true, Ordering::Relaxed);
+            caught
+        });
+        assert!(caught, "no worker sampled in merge/deliver: {:?}", reg.table());
         server.shutdown();
     }
 
@@ -1320,13 +1215,7 @@ mod tests {
         let tick_every = engine.controller().config().tick_every;
         let server = AlgasServer::start(
             engine,
-            RuntimeConfig {
-                n_slots: 2,
-                n_workers: 1,
-                n_host_threads: 1,
-                queue_capacity: 256,
-                ..Default::default()
-            },
+            RuntimeConfig { n_workers: 1, queue_capacity: 256, ..Default::default() },
         );
         for i in 0..(3 * tick_every as usize) {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
@@ -1344,7 +1233,7 @@ mod tests {
 
     #[test]
     fn controller_stays_inert_without_an_slo() {
-        let (server, ds, _) = test_server(4, 2, 1);
+        let (server, ds, _) = test_server(2);
         for i in 0..80 {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
             let _ = server.search_blocking(q).unwrap();
@@ -1357,7 +1246,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_inflight_queries() {
-        let (server, ds, _) = test_server(4, 2, 1);
+        let (server, ds, _) = test_server(2);
         let mut rxs = Vec::new();
         for i in 0..12 {
             let q = ds.queries.get(i % ds.queries.len()).to_vec();
@@ -1371,10 +1260,161 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_fails() {
-        let (server, ds, _) = test_server(2, 1, 1);
-        server.shared.shutdown.store(true, Ordering::Release);
+        let (server, ds, _) = test_server(1);
+        server.shutdown();
+        assert!(!server.ready());
         let err = server.submit(ds.queries.get(0).to_vec()).unwrap_err();
         assert_eq!(err, SubmitError::ShuttingDown);
+        assert_eq!(server.stats().submitted, 0, "a refused submit is not counted");
+        server.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn stats_never_show_more_completions_than_submissions() {
+        const PER_SUBMITTER: usize = 200;
+        let (server, ds, _) = test_server(2);
+        let submitters_left = std::sync::atomic::AtomicUsize::new(4);
+        std::thread::scope(|scope| {
+            for c in 0..4 {
+                let (server, ds, left) = (&server, &ds, &submitters_left);
+                scope.spawn(move || {
+                    widen_race_windows();
+                    for i in 0..PER_SUBMITTER {
+                        let q = ds.queries.get((c + 4 * i) % ds.queries.len()).to_vec();
+                        let _ = server.search_blocking(q).unwrap();
+                    }
+                    left.fetch_sub(1, Ordering::Release);
+                });
+            }
+            widen_race_windows();
+            let mut polls = 0u64;
+            while submitters_left.load(Ordering::Acquire) > 0 {
+                let s = server.stats();
+                assert!(s.completed <= s.submitted, "poll {polls}: {s:?}");
+                let _ = s.in_flight();
+                let r = server.runtime_stats();
+                assert!(r.completed <= r.submitted, "poll {polls}: {r:?}");
+                polls += 1;
+            }
+        });
+        let s = server.stats();
+        let total = 4 * PER_SUBMITTER as u64;
+        assert_eq!((s.submitted, s.completed, s.in_flight()), (total, total, 0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_under_concurrent_submits_delivers_exactly_once() {
+        // Each client keeps at most WINDOW queries outstanding, so the
+        // queue never fills: every submit is either accepted or refused
+        // with ShuttingDown. Several server lifetimes give the shutdown
+        // several chances to land inside a submit.
+        const CLIENTS: usize = 4;
+        const WINDOW: usize = 16;
+        const ROUNDS: usize = 5;
+        let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
+        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+        let cfg =
+            EngineConfig { k: 8, l: 32, slots: 2, beam: BeamMode::Auto, ..Default::default() };
+        let oracle = AlgasEngine::new(index.clone(), cfg).unwrap();
+        let exact_topk = |q: &[f32]| {
+            let mut exact: Vec<(f32, u32)> = (0..ds.base.len())
+                .map(|id| (Metric::L2.distance(q, ds.base.get(id)), id as u32))
+                .collect();
+            exact.sort_by(|a, b| a.0.total_cmp(&b.0));
+            exact.truncate(8);
+            exact.into_iter().map(|(_, id)| id).collect::<Vec<u32>>()
+        };
+        // Takes the one reply of an accepted query, failing rather than
+        // hanging if it never comes; the receiver is kept to check,
+        // after shutdown, that no second reply followed.
+        let take_reply = |tag: u64, qi: usize, rx: Receiver<SearchReply>| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            let reply = loop {
+                match rx.try_recv() {
+                    Ok(reply) => break reply,
+                    Err(TryRecvError::Empty) if std::time::Instant::now() < deadline => {
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("accepted query {tag} never answered: {e:?}"),
+                }
+            };
+            assert_eq!(reply.tag, tag);
+            (qi, reply, rx)
+        };
+        let (mut hits, mut answered) = (0usize, 0usize);
+        for round in 0..ROUNDS {
+            let server = AlgasServer::start(
+                AlgasEngine::new(index.clone(), cfg).unwrap(),
+                RuntimeConfig {
+                    n_workers: 2,
+                    queue_capacity: CLIENTS * WINDOW,
+                    ..Default::default()
+                },
+            );
+            let served: Vec<_> = std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..CLIENTS)
+                    .map(|c| {
+                        let (server, ds) = (&server, &ds);
+                        scope.spawn(move || {
+                            widen_race_windows();
+                            let mut pending = std::collections::VecDeque::new();
+                            let mut served = Vec::new();
+                            for i in 0.. {
+                                if pending.len() == WINDOW {
+                                    let (tag, qi, rx) = pending.pop_front().unwrap();
+                                    served.push(take_reply(tag, qi, rx));
+                                }
+                                let qi = (c + CLIENTS * i) % ds.queries.len();
+                                match server.submit(ds.queries.get(qi).to_vec()) {
+                                    Ok((tag, rx)) => pending.push_back((tag, qi, rx)),
+                                    Err(SubmitError::ShuttingDown) => break,
+                                    Err(e) => panic!("client {c}: unexpected {e}"),
+                                }
+                                std::thread::yield_now();
+                            }
+                            // Once refused, always refused.
+                            let again = server.submit(ds.queries.get(0).to_vec());
+                            assert_eq!(again.unwrap_err(), SubmitError::ShuttingDown);
+                            for (tag, qi, rx) in pending {
+                                served.push(take_reply(tag, qi, rx));
+                            }
+                            served
+                        })
+                    })
+                    .collect();
+                while server.stats().completed < 64 {
+                    std::thread::yield_now();
+                }
+                server.shutdown();
+                clients.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            });
+            let s = server.stats();
+            assert_eq!(s.submitted, served.len() as u64, "round {round}: an accepted query lost");
+            assert_eq!(s.completed, s.submitted, "round {round}");
+            // Every worker has been joined, so every reply channel is
+            // closed: anything still queued would be a second reply.
+            for (_, reply, rx) in &served {
+                let tag = reply.tag;
+                assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "{tag} answered twice");
+            }
+            let mut tags: Vec<u64> = served.iter().map(|(_, r, _)| r.tag).collect();
+            tags.sort_unstable();
+            tags.dedup();
+            assert_eq!(tags.len(), served.len(), "round {round}: one reply per tag");
+            // Replies belong to their own queries: each matches the
+            // engine's answer for that query and tag, and overlaps the
+            // brute-force TopK within the engine's recall floor.
+            for (qi, reply, _) in &served {
+                let q = ds.queries.get(*qi);
+                assert_eq!(reply.ids, oracle.search(q, reply.tag), "round {round} query {qi}");
+                let exact = exact_topk(q);
+                hits += reply.ids.iter().filter(|id| exact.contains(id)).count();
+            }
+            answered += served.len();
+        }
+        let recall = hits as f64 / (8 * answered) as f64;
+        assert!(recall > 0.9, "recall {recall}");
     }
 
     #[test]
@@ -1385,13 +1425,7 @@ mod tests {
         let engine = AlgasEngine::new(index, cfg).unwrap();
         let server = AlgasServer::start(
             engine,
-            RuntimeConfig {
-                n_slots: 1,
-                n_workers: 1,
-                n_host_threads: 1,
-                queue_capacity: 1,
-                ..Default::default()
-            },
+            RuntimeConfig { n_workers: 1, queue_capacity: 1, ..Default::default() },
         );
         // Flood faster than one slot can drain; eventually QueueFull.
         let mut rejections = 0u64;

@@ -110,6 +110,15 @@ pub enum TuningError {
         /// Best budget achievable at `N_parallel = 1`.
         budget: usize,
     },
+    /// Zero slots were requested; a query needs somewhere to run.
+    NoSlots,
+    /// The candidate list cannot hold the TopK: need `0 < k <= L`.
+    InvalidListSize {
+        /// Requested TopK.
+        k: usize,
+        /// Requested candidate-list length.
+        l: usize,
+    },
 }
 
 impl std::fmt::Display for TuningError {
@@ -122,6 +131,8 @@ impl std::fmt::Display for TuningError {
                 f,
                 "block demands {demand} B of shared memory but at most {budget} B is available"
             ),
+            TuningError::NoSlots => write!(f, "need at least one slot"),
+            TuningError::InvalidListSize { k, l } => write!(f, "need 0 < k <= L, got k={k}, L={l}"),
         }
     }
 }
@@ -133,8 +144,12 @@ impl std::error::Error for TuningError {}
 /// balanced) that satisfies both §IV-C constraints.
 pub fn tune(input: &TuningInput) -> Result<TuningPlan, TuningError> {
     let dev = &input.device;
-    assert!(input.slots > 0, "need at least one slot");
-    assert!(input.l >= input.k, "L must be at least TopK");
+    if input.slots == 0 {
+        return Err(TuningError::NoSlots);
+    }
+    if input.k == 0 || input.l < input.k {
+        return Err(TuningError::InvalidListSize { k: input.k, l: input.l });
+    }
 
     let reserved_cache = reserved_cache_bytes(input.dim);
     let demand = block_shared_mem_bytes(input.l, input.graph_degree, input.beam_width, input.dim);
@@ -320,6 +335,16 @@ mod tests {
         let err = tune(&TuningInput::new(dev, 2000, 128, 64, 16)).unwrap_err();
         assert!(matches!(err, TuningError::TooManySlots { .. }));
         assert!(err.to_string().contains("2000"));
+    }
+
+    #[test]
+    fn degenerate_inputs_are_errors_not_panics() {
+        let dev = DeviceProps::rtx_a6000();
+        assert_eq!(tune(&TuningInput::new(dev, 0, 128, 64, 16)), Err(TuningError::NoSlots));
+        for (l, k) in [(4, 10), (64, 0)] {
+            let err = tune(&TuningInput::new(dev, 16, 128, l, k)).unwrap_err();
+            assert_eq!(err, TuningError::InvalidListSize { k, l });
+        }
     }
 
     #[test]

@@ -27,13 +27,7 @@ fn main() {
             .expect("feasible");
     let server = AlgasServer::start(
         engine,
-        RuntimeConfig {
-            n_slots: 8,
-            n_workers: 2,
-            n_host_threads: 1,
-            queue_capacity: 512,
-            ..Default::default()
-        },
+        RuntimeConfig { n_workers: 2, queue_capacity: 512, ..Default::default() },
     );
 
     let n = 200.min(ds.queries.len() * 4);

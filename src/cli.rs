@@ -8,8 +8,8 @@
 //! algas info   --index index.algas
 //! algas search --index index.algas --queries q.fvecs --k 10 --l 64 [--quantize true]
 //!              [--rerank 32] [--entry-policy hash-table] [--gt gt.ivecs] [--out r.ivecs]
-//! algas serve  --index index.algas --queries q.fvecs --slots 16 [--quantize true]
-//!              [--rerank 32] [--entry-policy hash-table] [--slo-us 2000]
+//! algas serve  --index index.algas --queries q.fvecs --slots 16 [--workers 2]
+//!              [--quantize true] [--rerank 32] [--entry-policy hash-table] [--slo-us 2000]
 //!              [--stats-json stats.json] [--listen 127.0.0.1:9100]
 //!              [--net 127.0.0.1:7700] [--max-inflight 256] [--repeat N]
 //!              [--linger-ms 0] [--trace-out trace.json] [--trace-threshold-us N]
@@ -489,14 +489,15 @@ fn start_server_from_flags(
     if index.metric.requires_normalization() {
         queries.normalize_l2();
     }
-    let slots = opt_parse(flags, "slots", 16usize)?;
+    let n_workers = opt_parse(flags, "workers", 2usize)?;
+    if n_workers == 0 {
+        return Err("--workers must be at least 1".to_string());
+    }
     let engine = engine_from_flags(index, flags)?;
     let server = AlgasServer::start(
         engine,
         RuntimeConfig {
-            n_slots: slots,
-            n_workers: opt_parse(flags, "workers", 2usize)?,
-            n_host_threads: opt_parse(flags, "hosts", 1usize)?,
+            n_workers,
             queue_capacity: 4096,
             flight: flight_from_flags(flags)?,
             qlog: qlog_from_flags(flags)?,
@@ -1755,6 +1756,46 @@ mod tests {
 
         for p in [base, queries, index, qlog] {
             let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn degenerate_sizes_are_errors_not_panics() {
+        let base = tmp("deg-base.fvecs");
+        let queries = tmp("deg-q.fvecs");
+        let index = tmp("deg-index.algas");
+        run_ok(&[
+            "gen",
+            "--out",
+            &base,
+            "--queries",
+            &queries,
+            "--n",
+            "300",
+            "--nq",
+            "4",
+            "--dim",
+            "8",
+        ]);
+        run_ok(&["build", "--base", &base, "--graph", "cagra", "--out", &index]);
+        let serve = |extra: &[&str]| {
+            let mut args: Vec<String> =
+                ["serve", "--index", &index, "--queries", &queries, "--repeat", "1"]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect();
+            args.extend(extra.iter().map(|s| s.to_string()));
+            run(&args, &mut Vec::new()).expect_err(&extra.join(" "))
+        };
+        assert!(serve(&["--workers", "0"]).contains("--workers"));
+        assert!(serve(&["--slots", "0"]).contains("at least one slot"));
+        assert!(serve(&["--l", "4", "--k", "10"]).contains("0 < k <= L"));
+        assert!(serve(&["--k", "0"]).contains("0 < k <= L"));
+        let search = ["search", "--index", &index, "--queries", &queries, "--slots", "0"];
+        let args: Vec<String> = search.iter().map(|s| s.to_string()).collect();
+        assert!(run(&args, &mut Vec::new()).unwrap_err().contains("at least one slot"));
+        for f in [base, queries, index] {
+            let _ = std::fs::remove_file(f);
         }
     }
 

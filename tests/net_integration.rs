@@ -20,7 +20,7 @@ const DIM: usize = 16;
 fn start_stack(runtime_cfg: RuntimeConfig, net_cfg: NetConfig) -> Stack {
     let ds = DatasetSpec::tiny(800, DIM, Metric::L2, 4242).generate();
     let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
-    let cfg = EngineConfig { k: 10, l: 64, slots: runtime_cfg.n_slots, ..Default::default() };
+    let cfg = EngineConfig { k: 10, l: 64, slots: runtime_cfg.n_workers, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).expect("tuning");
     let server = Arc::new(AlgasServer::start(engine, runtime_cfg));
     let net = NetServer::start("127.0.0.1:0", Arc::clone(&server), net_cfg).expect("bind");
@@ -35,13 +35,7 @@ struct Stack {
 
 impl Stack {
     fn default_runtime() -> RuntimeConfig {
-        RuntimeConfig {
-            n_slots: 4,
-            n_workers: 2,
-            n_host_threads: 2,
-            queue_capacity: 256,
-            ..Default::default()
-        }
+        RuntimeConfig { n_workers: 2, queue_capacity: 256, ..Default::default() }
     }
 
     fn client(&self) -> NetClient {
@@ -117,9 +111,7 @@ fn pipelined_requests_complete_out_of_order_matched_by_request_id() {
 #[test]
 fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
     let runtime = RuntimeConfig {
-        n_slots: 4,
         n_workers: 2,
-        n_host_threads: 2,
         queue_capacity: 256,
         // Threshold 0: every completion is "slow", so all N timelines
         // are retained; the query log keeps every completion too.
@@ -206,13 +198,7 @@ fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
 
 #[test]
 fn overload_answers_retry_after_with_counted_rejects() {
-    let runtime = RuntimeConfig {
-        n_slots: 1,
-        n_workers: 1,
-        n_host_threads: 1,
-        queue_capacity: 2,
-        ..Default::default()
-    };
+    let runtime = RuntimeConfig { n_workers: 1, queue_capacity: 2, ..Default::default() };
     let net_cfg = NetConfig { max_inflight: 4, ..Default::default() };
     let stack = start_stack(runtime, net_cfg);
     let mut client = stack.client();

@@ -22,13 +22,7 @@ fn start_server() -> (AlgasServer, algas::vector::VectorStore) {
     let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
     let cfg = EngineConfig { k: 10, l: 64, slots: 4, ..Default::default() };
     let engine = AlgasEngine::new(index, cfg).expect("tuning");
-    let runtime_cfg = RuntimeConfig {
-        n_slots: 4,
-        n_workers: 2,
-        n_host_threads: 2,
-        queue_capacity: 256,
-        ..Default::default()
-    };
+    let runtime_cfg = RuntimeConfig { n_workers: 2, queue_capacity: 256, ..Default::default() };
     (AlgasServer::start(engine, runtime_cfg), ds.queries)
 }
 
@@ -66,7 +60,7 @@ fn multithreaded_run_reports_phase_latencies_and_gauges() {
     assert_eq!(stats.rejected_queue_full, 0);
     assert_eq!(stats.per_worker.len(), 2);
     assert_eq!(stats.per_host.len(), 2);
-    assert_eq!(stats.per_slot.len(), 4);
+    assert_eq!(stats.per_slot.len(), 2);
 
     #[cfg(feature = "obs")]
     {
