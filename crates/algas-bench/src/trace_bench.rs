@@ -18,8 +18,8 @@
 //!    ```
 //!
 //!    The first build compiles every recording call to a ZST no-op;
-//!    the second carries the full recorder (ring writes on every
-//!    lifecycle transition plus the tail-sampler on completion) and
+//!    the second carries the full recorder (ring writes for every
+//!    search step plus the tail-sampler on completion) and
 //!    reports the p50/p99 delta against the baseline file.
 //!
 //!    On a shared machine, ambient drift between *processes* (thermal
@@ -138,8 +138,6 @@ fn trimmed_mean_round(mut rounds: Vec<Round>) -> Round {
 /// `obs` feature off this times the ZST no-op (~0 ns).
 fn event_cost_ns() -> f64 {
     let obs = RuntimeObs::new(
-        1,
-        1,
         1,
         FlightConfig { ring_capacity: 1024, ..Default::default() },
         QlogConfig::default(),

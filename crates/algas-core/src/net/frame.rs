@@ -392,7 +392,9 @@ impl std::error::Error for BadPayload {}
 /// Decodes a SEARCH payload into `query` (cleared first).
 ///
 /// # Errors
-/// The payload length must be a non-zero multiple of 4.
+/// The payload length must be a non-zero multiple of 4, and every
+/// component must be finite: a NaN or infinite query has no nearest
+/// neighbours, only poisoned distances.
 pub fn decode_search_into(payload: &[u8], query: &mut Vec<f32>) -> Result<(), BadPayload> {
     if payload.is_empty() || !payload.len().is_multiple_of(4) {
         return Err(BadPayload);
@@ -401,7 +403,11 @@ pub fn decode_search_into(payload: &[u8], query: &mut Vec<f32>) -> Result<(), Ba
     query.extend(
         payload.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
     );
-    Ok(())
+    if query.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(BadPayload)
+    }
 }
 
 /// Splits a [`FLAG_CLIENT_TS`] SEARCH payload into the query-vector
@@ -618,6 +624,35 @@ mod tests {
         assert!(decode_result_into(&payload[..payload.len() - 1], &mut ids, &mut dists).is_err());
         assert!(decode_search_into(b"abc", &mut q).is_err());
         assert!(decode_search_into(b"", &mut q).is_err());
+    }
+
+    #[test]
+    fn non_finite_search_vectors_are_bad_payloads() {
+        let mut q = Vec::new();
+        for bad in [
+            vec![f32::NAN; 4],
+            vec![f32::INFINITY; 4],
+            vec![f32::NEG_INFINITY; 4],
+            vec![1.0, 2.0, f32::NAN, 4.0],
+            vec![1.0, 2.0, 3.0, -f32::INFINITY],
+        ] {
+            let mut buf = Vec::new();
+            encode_search(&mut buf, 1, &bad);
+            let Decoded::Frame { payload, .. } = decode_frame(&buf, DEFAULT_MAX_PAYLOAD).unwrap()
+            else {
+                panic!()
+            };
+            assert_eq!(decode_search_into(payload, &mut q), Err(BadPayload), "{bad:?}");
+        }
+        // Extremes that are still finite pass.
+        let mut buf = Vec::new();
+        encode_search(&mut buf, 2, &[f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0]);
+        let Decoded::Frame { payload, .. } = decode_frame(&buf, DEFAULT_MAX_PAYLOAD).unwrap()
+        else {
+            panic!()
+        };
+        decode_search_into(payload, &mut q).unwrap();
+        assert_eq!(q.len(), 4);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! by Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: each
 //! retained [`QueryTrace`] becomes duration events (`ph:"X"`) on one
 //! track per slot (the six lifecycle phases), one per worker (the
-//! search span), one per host poller (merge and delivery), and one per
-//! CTA (synthesized per-step spans), with instant events (`ph:"i"`)
-//! marking slot transitions, beam switches, and rerank passes.
+//! search, merge and delivery spans: the worker carries its query end
+//! to end), and one per CTA (synthesized per-step spans), with instant
+//! events (`ph:"i"`) marking beam switches, rerank passes and SLO
+//! controller decisions. Every span comes from the trace's
+//! [`QueryRecord`](super::qlog::QueryRecord) stamps.
 //! Timestamps are microseconds (the format's unit), converted from the
 //! recorder's nanosecond clock.
 
@@ -29,11 +31,6 @@ pub const LIFECYCLE_PHASES: [&str; 6] = [
 /// Track id of worker `w` (slots use their own index directly).
 fn worker_tid(w: u32) -> u64 {
     1_000 + u64::from(w)
-}
-
-/// Track id of host poller `h`.
-fn host_tid(h: u32) -> u64 {
-    2_000 + u64::from(h)
 }
 
 /// Track id of CTA `c` of slot `s` (per-slot so concurrent queries on
@@ -58,7 +55,13 @@ fn span(name: &str, tid: u64, start_ns: u64, end_ns: u64, t: &QueryTrace) -> Val
         // `request_id` the wire id the client logged — the one to
         // search for in Perfetto when chasing a client-side slow
         // request.
-        ("args", obj(vec![("tag", Value::Uint(t.tag)), ("request_id", Value::Uint(t.request_id))])),
+        (
+            "args",
+            obj(vec![
+                ("tag", Value::Uint(t.record.tag)),
+                ("request_id", Value::Uint(t.record.request_id)),
+            ]),
+        ),
     ])
 }
 
@@ -104,28 +107,28 @@ pub fn chrome_trace_json(traces: &[QueryTrace]) -> String {
         ("args", obj(vec![("name", Value::Str("algas".into()))])),
     ]));
     for t in traces {
-        let lc = &t.lifecycle;
-        let slot_tid = u64::from(t.slot);
-        name_tid(&mut events, slot_tid, format!("slot {}", t.slot));
-        name_tid(&mut events, worker_tid(t.worker), format!("worker {}", t.worker));
-        name_tid(&mut events, host_tid(t.host), format!("host {}", t.host));
+        let r = &t.record;
+        // The worker's slot shares its index.
+        let (slot, slot_tid, worker) = (r.worker, u64::from(r.worker), worker_tid(r.worker));
+        name_tid(&mut events, slot_tid, format!("slot {slot}"));
+        name_tid(&mut events, worker, format!("worker {}", r.worker));
         // The six lifecycle phases as nested duration events on the
         // slot track: end_to_end outermost, the five disjoint spans
         // inside it.
-        events.push(span("end_to_end", slot_tid, lc.submitted_ns, lc.delivered_ns, t));
-        events.push(span("submit_to_slot", slot_tid, lc.submitted_ns, lc.slot_ns, t));
-        events.push(span("slot_to_work", slot_tid, lc.slot_ns, lc.work_start_ns, t));
-        events.push(span("work_to_finish", slot_tid, lc.work_start_ns, lc.finish_ns, t));
-        events.push(span("finish_to_merged", slot_tid, lc.finish_ns, lc.merged_ns, t));
-        events.push(span("merged_to_delivered", slot_tid, lc.merged_ns, lc.delivered_ns, t));
-        events.push(span("search", worker_tid(t.worker), lc.work_start_ns, lc.finish_ns, t));
-        events.push(span("merge", host_tid(t.host), lc.merge_begin_ns, lc.merged_ns, t));
-        events.push(span("deliver", host_tid(t.host), lc.merged_ns, lc.delivered_ns, t));
+        events.push(span("end_to_end", slot_tid, r.submitted_ns, r.delivered_ns, t));
+        events.push(span("submit_to_slot", slot_tid, r.submitted_ns, r.slot_ns, t));
+        events.push(span("slot_to_work", slot_tid, r.slot_ns, r.work_start_ns, t));
+        events.push(span("work_to_finish", slot_tid, r.work_start_ns, r.finish_ns, t));
+        events.push(span("finish_to_merged", slot_tid, r.finish_ns, r.merged_ns, t));
+        events.push(span("merged_to_delivered", slot_tid, r.merged_ns, r.delivered_ns, t));
+        events.push(span("search", worker, r.work_start_ns, r.finish_ns, t));
+        events.push(span("merge", worker, r.finish_ns, r.merged_ns, t));
+        events.push(span("deliver", worker, r.merged_ns, r.delivered_ns, t));
         for e in &t.events {
             match e.kind {
                 EventKind::CtaStep => {
-                    let tid = cta_tid(t.slot, e.lane);
-                    name_tid(&mut events, tid, format!("slot {} cta {}", t.slot, e.lane));
+                    let tid = cta_tid(slot, e.lane);
+                    name_tid(&mut events, tid, format!("slot {slot} cta {}", e.lane));
                     events.push(obj(vec![
                         ("ph", Value::Str("X".into())),
                         ("name", Value::Str("step".into())),
@@ -136,15 +139,15 @@ pub fn chrome_trace_json(traces: &[QueryTrace]) -> String {
                         (
                             "args",
                             obj(vec![
-                                ("tag", Value::Uint(t.tag)),
+                                ("tag", Value::Uint(r.tag)),
                                 ("dist_evals", Value::Uint(u64::from(e.a))),
                             ]),
                         ),
                     ]));
                 }
                 EventKind::BeamSwitch => {
-                    let tid = cta_tid(t.slot, e.lane);
-                    name_tid(&mut events, tid, format!("slot {} cta {}", t.slot, e.lane));
+                    let tid = cta_tid(slot, e.lane);
+                    name_tid(&mut events, tid, format!("slot {slot} cta {}", e.lane));
                     events.push(instant(
                         "beam_switch",
                         tid,
@@ -154,16 +157,16 @@ pub fn chrome_trace_json(traces: &[QueryTrace]) -> String {
                 }
                 EventKind::RerankPass => events.push(instant(
                     "rerank_pass",
-                    worker_tid(t.worker),
+                    worker,
                     e.ts_ns,
                     vec![
                         ("candidates", Value::Uint(u64::from(e.a))),
                         ("promotions", Value::Uint(u64::from(e.b))),
                     ],
                 )),
-                // Lifecycle edges become transition markers on the
-                // slot track (the spans above carry the durations).
-                _ => events.push(instant(e.kind.name(), slot_tid, e.ts_ns, Vec::new())),
+                EventKind::ControlAdjust => {
+                    events.push(instant(e.kind.name(), slot_tid, e.ts_ns, Vec::new()));
+                }
             }
         }
     }
@@ -245,39 +248,32 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeSummary, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::flight::{LifecycleNs, TraceEvent};
+    use super::super::flight::TraceEvent;
+    use super::super::qlog::QueryRecord;
     use super::*;
 
     fn sample_trace() -> QueryTrace {
-        let lc = LifecycleNs {
+        let record = QueryRecord {
+            tag: 11,
+            request_id: 8_811,
+            conn_id: 3,
             submitted_ns: 1_000,
             slot_ns: 1_200,
             work_start_ns: 1_500,
             finish_ns: 9_000,
-            merge_begin_ns: 9_100,
             merged_ns: 9_400,
             delivered_ns: 9_600,
+            worker: 1,
+            ..QueryRecord::default()
         };
         QueryTrace {
-            tag: 11,
-            request_id: 8_811,
-            conn: 3,
-            slot: 2,
-            worker: 1,
-            host: 0,
-            lifecycle: lc,
+            record,
             dropped: 0,
             events: vec![
-                TraceEvent { ts_ns: 1_000, kind: EventKind::Enqueued, lane: 0, a: 0, b: 0 },
-                TraceEvent { ts_ns: 1_200, kind: EventKind::Assigned, lane: 0, a: 0, b: 0 },
-                TraceEvent { ts_ns: 1_500, kind: EventKind::WorkStart, lane: 1, a: 0, b: 0 },
                 TraceEvent { ts_ns: 1_600, kind: EventKind::CtaStep, lane: 0, a: 32, b: 500 },
                 TraceEvent { ts_ns: 2_100, kind: EventKind::BeamSwitch, lane: 0, a: 4, b: 0 },
                 TraceEvent { ts_ns: 8_900, kind: EventKind::RerankPass, lane: 1, a: 16, b: 2 },
-                TraceEvent { ts_ns: 9_000, kind: EventKind::Finish, lane: 1, a: 0, b: 0 },
-                TraceEvent { ts_ns: 9_100, kind: EventKind::MergeBegin, lane: 0, a: 0, b: 0 },
-                TraceEvent { ts_ns: 9_400, kind: EventKind::MergeEnd, lane: 0, a: 0, b: 0 },
-                TraceEvent { ts_ns: 9_600, kind: EventKind::Delivered, lane: 0, a: 0, b: 0 },
+                TraceEvent { ts_ns: 9_500, kind: EventKind::ControlAdjust, lane: 1, a: 1, b: 0 },
             ],
         }
     }
@@ -293,6 +289,21 @@ mod tests {
                 "missing duration track {extra}"
             );
         }
+        // The worker track carries search, merge and delivery; no host
+        // track exists, and only the step markers remain as instants.
+        let doc = Value::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let name = |e: &Value| e.get("name").and_then(Value::as_str).unwrap_or("").to_string();
+        for e in events.iter().filter(|e| ["search", "merge", "deliver"].contains(&&*name(e))) {
+            assert_eq!(e.get("tid").and_then(Value::as_u64), Some(worker_tid(1)), "{}", name(e));
+        }
+        let instants: Vec<String> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("i"))
+            .map(name)
+            .collect();
+        assert_eq!(instants, ["beam_switch", "rerank_pass", "control_adjust"]);
+        assert!(!text.contains("\"host "), "no host track: {text}");
     }
 
     #[test]

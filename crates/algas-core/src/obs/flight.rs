@@ -3,28 +3,26 @@
 //!
 //! The aggregate layer ([`super::recorder`]) can show *that* p99
 //! regressed; this module shows *why one query* was slow. Every slot
-//! owns a fixed-capacity ring of timestamped [`TraceEvent`]s — slot
-//! state transitions, the beam-extend localization→diffusing switch,
-//! per-CTA search steps, host merge begin/end, the rerank pass — that
-//! the serving threads write lock-free and allocation-free, overwriting
-//! the oldest events like an aircraft flight recorder.
+//! owns a fixed-capacity ring of timestamped [`TraceEvent`]s — the
+//! steps *inside* a query: per-CTA search steps, the beam-extend
+//! localization→diffusing switch, the rerank pass, SLO controller
+//! decisions — written lock-free and allocation-free, overwriting the
+//! oldest events like an aircraft flight recorder. The lifecycle edges
+//! are not ring events: the query's [`QueryRecord`] carries their
+//! stamps, and a retained trace takes its ids, worker and lifecycle
+//! from that record, so none of them can be overwritten.
 //!
 //! On query completion the runtime *tail-samples*: the full timeline is
 //! lifted out of the ring only for queries slower than
 //! [`FlightConfig::slow_threshold_ns`], for the top-K slowest seen so
-//! far, and for an optional 1-in-N probabilistic sample. The fast-path
-//! rejection is a handful of relaxed loads; the capture itself
-//! (allocating a [`QueryTrace`]) runs only for retained queries.
+//! far, and for an optional 1-in-N sample. The fast-path rejection is a
+//! handful of relaxed loads; the capture itself (allocating a
+//! [`QueryTrace`]) runs only for retained queries.
 //!
-//! **Why the ring is safe without locks:** the slot state machine
-//! (`None → Work → Finish → Done`) already serializes the serving
-//! phases — the host writes the enqueue/assign events before flipping
-//! to `Work`, the worker writes the search events between observing
-//! `Work` and flipping to `Finish`, and the host writes the merge and
-//! delivery events (and performs the capture) after observing `Finish`.
-//! At most one thread writes a given slot's ring at a time, and the
-//! acquire/release edges of the state transitions order the relaxed
-//! cell stores before the capture's relaxed loads.
+//! **Why the ring is safe without locks:** each slot belongs to one
+//! worker, which writes every event of its query and performs the
+//! capture at delivery. A ring therefore has a single writer, and the
+//! capture reads it on that same thread.
 //!
 //! With the `obs` feature compiled out, [`FlightRecorder`] is a
 //! zero-sized no-op; the data model ([`TraceEvent`], [`QueryTrace`],
@@ -32,19 +30,24 @@
 //! exporter compile unchanged.
 
 use super::json::{obj, Value};
+use super::qlog::QueryRecord;
 
-/// What happened at one [`TraceEvent`] (one lifecycle edge or one unit
-/// of searcher-internal progress).
+/// Most cells one event or query-log ring may hold (64 Ki). Larger
+/// configured capacities are clamped here; `--trace-ring` above it is
+/// a CLI error.
+pub const MAX_RING_CAPACITY: usize = 1 << 16;
+
+/// Cells a ring configured for `capacity` allocates: rounded up to a
+/// power of two and clamped to `8..=MAX_RING_CAPACITY`.
+pub(crate) fn ring_cells(capacity: usize) -> usize {
+    capacity.clamp(8, MAX_RING_CAPACITY).next_power_of_two()
+}
+
+/// What happened at one [`TraceEvent`] (one unit of progress inside a
+/// query; the lifecycle edges live in its [`QueryRecord`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Query accepted into the submission queue (`lane` = host).
-    Enqueued = 1,
-    /// Host assigned the query to this slot (`lane` = host).
-    Assigned = 2,
-    /// Worker picked the slot up and started searching (`lane` =
-    /// worker).
-    WorkStart = 3,
     /// One CTA search step (`lane` = CTA, `a` = distances evaluated,
     /// `b` = synthesized duration in ns).
     CtaStep = 4,
@@ -54,19 +57,9 @@ pub enum EventKind {
     /// The SQ8 exact-rerank pass ran (`lane` = worker, `a` =
     /// candidates, `b` = promotions).
     RerankPass = 6,
-    /// Search done, `Work → Finish` flip (`lane` = worker).
-    Finish = 7,
-    /// Host picked the finished slot up and began merging (`lane` =
-    /// host).
-    MergeBegin = 8,
-    /// Host merge completed (`lane` = host).
-    MergeEnd = 9,
-    /// Reply handed to the client channel, `Finish → Done` flip
-    /// (`lane` = host).
-    Delivered = 10,
     /// The SLO controller changed or confirmed the effort level at a
-    /// tick triggered by this query's completion (`lane` = host, `a` =
-    /// new effort level, `b` = [`crate::control::ControlReason`] as
+    /// tick triggered by this query's completion (`lane` = worker, `a`
+    /// = new effort level, `b` = [`crate::control::ControlReason`] as
     /// `u8`).
     ControlAdjust = 11,
 }
@@ -75,16 +68,9 @@ impl EventKind {
     /// The kind's wire/track name.
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::Enqueued => "enqueued",
-            EventKind::Assigned => "assigned",
-            EventKind::WorkStart => "work_start",
             EventKind::CtaStep => "cta_step",
             EventKind::BeamSwitch => "beam_switch",
             EventKind::RerankPass => "rerank_pass",
-            EventKind::Finish => "finish",
-            EventKind::MergeBegin => "merge_begin",
-            EventKind::MergeEnd => "merge_end",
-            EventKind::Delivered => "delivered",
             EventKind::ControlAdjust => "control_adjust",
         }
     }
@@ -92,16 +78,9 @@ impl EventKind {
     /// Decodes a ring cell's kind byte (`None` for never-written cells).
     pub fn from_u8(v: u8) -> Option<EventKind> {
         Some(match v {
-            1 => EventKind::Enqueued,
-            2 => EventKind::Assigned,
-            3 => EventKind::WorkStart,
             4 => EventKind::CtaStep,
             5 => EventKind::BeamSwitch,
             6 => EventKind::RerankPass,
-            7 => EventKind::Finish,
-            8 => EventKind::MergeBegin,
-            9 => EventKind::MergeEnd,
-            10 => EventKind::Delivered,
             11 => EventKind::ControlAdjust,
             _ => return None,
         })
@@ -115,8 +94,8 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Which lane it happened on — worker, host, or CTA index,
-    /// depending on [`EventKind`].
+    /// Which lane it happened on — worker or CTA index, depending on
+    /// [`EventKind`].
     pub lane: u32,
     /// Kind-specific payload (see [`EventKind`]).
     pub a: u32,
@@ -124,75 +103,12 @@ pub struct TraceEvent {
     pub b: u32,
 }
 
-/// The lifecycle timestamps of one completed query, in nanoseconds
-/// since the recorder's epoch. The six phase spans of
-/// [`super::snapshot::PhaseStats`] are differences of these.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LifecycleNs {
-    /// Accepted into the submission queue.
-    pub submitted_ns: u64,
-    /// Assigned to a slot.
-    pub slot_ns: u64,
-    /// Worker started searching.
-    pub work_start_ns: u64,
-    /// Search finished (`Work → Finish`).
-    pub finish_ns: u64,
-    /// Host picked the finished slot up.
-    pub merge_begin_ns: u64,
-    /// Host merge completed.
-    pub merged_ns: u64,
-    /// Reply handed to the client channel.
-    pub delivered_ns: u64,
-}
-
-impl LifecycleNs {
-    /// End-to-end latency (submission → delivery).
-    pub fn e2e_ns(&self) -> u64 {
-        self.delivered_ns.saturating_sub(self.submitted_ns)
-    }
-}
-
-/// The identities a completed query is known by: the runtime tag plus
-/// the wire-level ids the client logged. Keying retained traces by the
-/// wire `request_id` is what lets a client grep its slow request id
-/// straight into `/traces`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryIds {
-    /// Runtime-assigned tag (echoed in the query's
-    /// [`crate::runtime::SearchReply`]).
-    pub tag: u64,
-    /// Wire request id. Equals `tag` for local (non-network) submits.
-    pub request_id: u64,
-    /// Server-side connection id (0 for local submits).
-    pub conn: u64,
-}
-
-impl QueryIds {
-    /// Identity of a local submit: the tag doubles as the request id.
-    pub fn local(tag: u64) -> Self {
-        Self { tag, request_id: tag, conn: 0 }
-    }
-}
-
-/// One retained query timeline: the lifecycle timestamps plus every
-/// ring event that survived overwriting.
+/// One retained query timeline: the query's record plus every ring
+/// event that survived overwriting.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryTrace {
-    /// The query's tag (echoed in its [`crate::runtime::SearchReply`]).
-    pub tag: u64,
-    /// Wire request id (equals `tag` for local submits).
-    pub request_id: u64,
-    /// Server-side connection id (0 for local submits).
-    pub conn: u64,
-    /// Slot that carried the query.
-    pub slot: u32,
-    /// Worker that searched it (from the `WorkStart` event; 0 if that
-    /// event was overwritten).
-    pub worker: u32,
-    /// Host poller that merged and delivered it.
-    pub host: u32,
-    /// Lifecycle timestamps.
-    pub lifecycle: LifecycleNs,
+    /// The completed query's record: ids, worker and lifecycle stamps.
+    pub record: QueryRecord,
     /// Ring events that were overwritten before capture (0 when the
     /// ring was deep enough for the whole query).
     pub dropped: u64,
@@ -203,31 +119,34 @@ pub struct QueryTrace {
 impl QueryTrace {
     /// End-to-end latency of the traced query.
     pub fn e2e_ns(&self) -> u64 {
-        self.lifecycle.e2e_ns()
+        self.record.e2e_ns()
     }
 
-    /// The trace as a JSON value (the `/traces` wire form).
+    /// The trace as a JSON value (the `/traces` wire form). The worker
+    /// carries the query end to end, so it is also the `slot` and the
+    /// `host`, and the merge begins at `finish`.
     pub fn to_json_value(&self) -> Value {
-        let lc = &self.lifecycle;
+        let r = &self.record;
+        let worker = Value::Uint(u64::from(r.worker));
         obj(vec![
-            ("tag", Value::Uint(self.tag)),
-            ("request_id", Value::Uint(self.request_id)),
-            ("conn", Value::Uint(self.conn)),
-            ("slot", Value::Uint(u64::from(self.slot))),
-            ("worker", Value::Uint(u64::from(self.worker))),
-            ("host", Value::Uint(u64::from(self.host))),
+            ("tag", Value::Uint(r.tag)),
+            ("request_id", Value::Uint(r.request_id)),
+            ("conn", Value::Uint(r.conn_id)),
+            ("slot", worker.clone()),
+            ("worker", worker.clone()),
+            ("host", worker),
             ("e2e_ns", Value::Uint(self.e2e_ns())),
             ("dropped", Value::Uint(self.dropped)),
             (
                 "lifecycle_ns",
                 obj(vec![
-                    ("submitted", Value::Uint(lc.submitted_ns)),
-                    ("slot", Value::Uint(lc.slot_ns)),
-                    ("work_start", Value::Uint(lc.work_start_ns)),
-                    ("finish", Value::Uint(lc.finish_ns)),
-                    ("merge_begin", Value::Uint(lc.merge_begin_ns)),
-                    ("merged", Value::Uint(lc.merged_ns)),
-                    ("delivered", Value::Uint(lc.delivered_ns)),
+                    ("submitted", Value::Uint(r.submitted_ns)),
+                    ("slot", Value::Uint(r.slot_ns)),
+                    ("work_start", Value::Uint(r.work_start_ns)),
+                    ("finish", Value::Uint(r.finish_ns)),
+                    ("merge_begin", Value::Uint(r.finish_ns)),
+                    ("merged", Value::Uint(r.merged_ns)),
+                    ("delivered", Value::Uint(r.delivered_ns)),
                 ]),
             ),
             (
@@ -261,7 +180,7 @@ pub fn traces_json(traces: &[QueryTrace]) -> String {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightConfig {
     /// Events kept per slot before the oldest are overwritten (rounded
-    /// up to a power of two, minimum 8).
+    /// up to a power of two, clamped to 8..=[`MAX_RING_CAPACITY`]).
     pub ring_capacity: usize,
     /// Queries at least this slow (end-to-end ns) are always retained.
     /// `u64::MAX` (the default) disables the threshold.
@@ -297,10 +216,9 @@ pub use disabled::FlightRecorder;
 
 #[cfg(feature = "obs")]
 mod enabled {
-    use super::{
-        EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace, TraceEvent,
-    };
+    use super::{ring_cells, EventKind, FlightConfig, FlightTotals, QueryTrace, TraceEvent};
     use crate::obs::counters::CachePadded;
+    use crate::obs::qlog::QueryRecord;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
@@ -310,9 +228,9 @@ mod enabled {
     /// Retained probabilistic samples.
     const SAMPLE_CAP: usize = 64;
 
-    /// One ring cell: three words written with relaxed stores (the slot
-    /// protocol's acquire/release edges order them; see the module
-    /// docs). `w1 == 0` means never written.
+    /// One ring cell: three words written with relaxed stores by the
+    /// slot's one worker (see the module docs). `w1 == 0` means never
+    /// written.
     #[derive(Default)]
     struct EventCell {
         /// Timestamp, ns since epoch.
@@ -328,7 +246,7 @@ mod enabled {
         /// Monotone write cursor (never wraps; cell index is
         /// `cursor & mask`).
         cursor: AtomicU64,
-        /// Cursor position when the slot's current query was assigned —
+        /// Cursor position when the slot's current query began —
         /// capture reads `[max(mark, cursor - capacity), cursor)`.
         mark: AtomicU64,
     }
@@ -363,7 +281,7 @@ mod enabled {
         /// Allocates the rings (startup only; recording never
         /// allocates).
         pub fn new(n_slots: usize, cfg: FlightConfig) -> Self {
-            let capacity = cfg.ring_capacity.next_power_of_two().max(8);
+            let capacity = ring_cells(cfg.ring_capacity);
             let rings = (0..n_slots)
                 .map(|_| {
                     CachePadded(SlotRing {
@@ -428,9 +346,9 @@ mod enabled {
         /// retained) is a few relaxed atomic ops and never allocates;
         /// capturing a retained trace allocates its [`QueryTrace`]
         /// (acceptable: retention is rare by construction).
-        pub fn on_complete(&self, slot: usize, ids: QueryIds, host: u32, lifecycle: &LifecycleNs) {
+        pub fn on_complete(&self, record: &QueryRecord) {
             let n = self.completions.fetch_add(1, Ordering::Relaxed) + 1;
-            let e2e = lifecycle.e2e_ns();
+            let e2e = record.e2e_ns();
             let slow = e2e >= self.cfg.slow_threshold_ns;
             let sampled = self.cfg.sample_every > 0 && n.is_multiple_of(self.cfg.sample_every);
             // `>=` lets ties through; the cold path re-checks with `>`
@@ -439,7 +357,7 @@ mod enabled {
             if !(slow || sampled || top) {
                 return;
             }
-            let trace = self.capture(slot, ids, host, lifecycle);
+            let trace = self.capture(record);
             let mut r = self.retained.lock();
             if top {
                 if r.top.len() < self.cfg.top_k {
@@ -471,15 +389,10 @@ mod enabled {
             }
         }
 
-        /// Drains `slot`'s ring into an owned trace (cold path).
-        fn capture(
-            &self,
-            slot: usize,
-            ids: QueryIds,
-            host: u32,
-            lifecycle: &LifecycleNs,
-        ) -> QueryTrace {
-            let ring = &self.rings[slot];
+        /// Drains the ring of the slot that served `record` (its
+        /// worker's) into an owned trace (cold path).
+        fn capture(&self, record: &QueryRecord) -> QueryTrace {
+            let ring = &self.rings[record.worker as usize];
             let hi = ring.cursor.load(Ordering::Relaxed);
             let mark = ring.mark.load(Ordering::Relaxed);
             let capacity = self.mask + 1;
@@ -497,19 +410,7 @@ mod enabled {
                     b: cell.w2.load(Ordering::Relaxed) as u32,
                 });
             }
-            let worker =
-                events.iter().find(|e| e.kind == EventKind::WorkStart).map_or(0, |e| e.lane);
-            QueryTrace {
-                tag: ids.tag,
-                request_id: ids.request_id,
-                conn: ids.conn,
-                slot: slot as u32,
-                worker,
-                host,
-                lifecycle: *lifecycle,
-                dropped: lo - mark,
-                events,
-            }
+            QueryTrace { record: *record, dropped: lo - mark, events }
         }
 
         /// The retained traces, deduplicated across buckets (by tag)
@@ -518,11 +419,11 @@ mod enabled {
             let r = self.retained.lock();
             let mut out: Vec<QueryTrace> = Vec::new();
             for t in r.slow.iter().chain(r.top.iter()).chain(r.sampled.iter()) {
-                if !out.iter().any(|seen| seen.tag == t.tag) {
+                if !out.iter().any(|seen| seen.record.tag == t.record.tag) {
                     out.push(t.clone());
                 }
             }
-            out.sort_by(|a, b| b.e2e_ns().cmp(&a.e2e_ns()).then(a.tag.cmp(&b.tag)));
+            out.sort_by(|a, b| b.e2e_ns().cmp(&a.e2e_ns()).then(a.record.tag.cmp(&b.record.tag)));
             out
         }
 
@@ -543,7 +444,7 @@ mod enabled {
 
 #[cfg(not(feature = "obs"))]
 mod disabled {
-    use super::{EventKind, FlightConfig, FlightTotals, LifecycleNs, QueryIds, QueryTrace};
+    use super::FlightConfig;
 
     /// Zero-sized no-op stand-in for the flight recorder.
     pub struct FlightRecorder;
@@ -553,54 +454,6 @@ mod disabled {
         pub fn new(_n_slots: usize, _cfg: FlightConfig) -> Self {
             Self
         }
-
-        /// The default configuration (nothing is recorded anyway).
-        pub fn config(&self) -> FlightConfig {
-            FlightConfig::default()
-        }
-
-        /// No-op; always 0.
-        #[inline]
-        pub fn now_ns(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn begin_query(&self, _slot: usize) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record(
-            &self,
-            _slot: usize,
-            _kind: EventKind,
-            _lane: u32,
-            _a: u32,
-            _b: u32,
-            _ts_ns: u64,
-        ) {
-        }
-
-        /// No-op.
-        pub fn on_complete(
-            &self,
-            _slot: usize,
-            _ids: QueryIds,
-            _host: u32,
-            _lifecycle: &LifecycleNs,
-        ) {
-        }
-
-        /// Always empty.
-        pub fn retained(&self) -> Vec<QueryTrace> {
-            Vec::new()
-        }
-
-        /// Always zero.
-        pub fn totals(&self) -> FlightTotals {
-            FlightTotals::default()
-        }
     }
 }
 
@@ -608,15 +461,19 @@ mod disabled {
 mod tests {
     use super::*;
 
-    fn lifecycle(e2e: u64) -> LifecycleNs {
-        LifecycleNs {
+    /// A completed query served by `worker`, `e2e` ns end to end.
+    fn record(tag: u64, worker: u32, e2e: u64) -> QueryRecord {
+        QueryRecord {
+            tag,
+            request_id: tag,
             submitted_ns: 100,
             slot_ns: 110,
             work_start_ns: 120,
             finish_ns: 100 + e2e - 20,
-            merge_begin_ns: 100 + e2e - 15,
             merged_ns: 100 + e2e - 10,
             delivered_ns: 100 + e2e,
+            worker,
+            ..QueryRecord::default()
         }
     }
 
@@ -628,18 +485,20 @@ mod tests {
     fn ring_captures_events_in_order() {
         let fr = FlightRecorder::new(2, capture_all());
         fr.begin_query(1);
-        fr.record(1, EventKind::Enqueued, 0, 0, 0, 100);
-        fr.record(1, EventKind::Assigned, 0, 0, 0, 110);
-        fr.record(1, EventKind::WorkStart, 3, 0, 0, 120);
-        fr.record(1, EventKind::Delivered, 0, 0, 0, 160);
-        fr.on_complete(1, QueryIds::local(42), 0, &lifecycle(60));
+        fr.record(1, EventKind::CtaStep, 0, 32, 10, 125);
+        fr.record(1, EventKind::BeamSwitch, 0, 1, 0, 135);
+        fr.record(1, EventKind::CtaStep, 0, 40, 10, 135);
+        fr.record(1, EventKind::RerankPass, 1, 16, 2, 140);
+        fr.on_complete(&record(42, 1, 60));
         let traces = fr.retained();
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
-        assert_eq!((t.tag, t.slot, t.worker, t.dropped), (42, 1, 3, 0));
-        assert_eq!(t.events.len(), 4);
-        assert_eq!(t.events[0].kind, EventKind::Enqueued);
-        assert_eq!(t.events[3].kind, EventKind::Delivered);
+        assert_eq!((t.record.tag, t.record.worker, t.dropped), (42, 1, 0));
+        let kinds: Vec<EventKind> = t.events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [EventKind::CtaStep, EventKind::BeamSwitch, EventKind::CtaStep, EventKind::RerankPass]
+        );
         assert!(t.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
 
@@ -651,7 +510,7 @@ mod tests {
         for i in 0..20u32 {
             fr.record(0, EventKind::CtaStep, 0, i, 0, u64::from(i));
         }
-        fr.on_complete(0, QueryIds::local(7), 0, &lifecycle(50));
+        fr.on_complete(&record(7, 0, 50));
         let t = &fr.retained()[0];
         assert_eq!(t.events.len(), 8, "ring keeps exactly its capacity");
         assert_eq!(t.dropped, 12, "overwritten events are counted");
@@ -661,18 +520,33 @@ mod tests {
     }
 
     #[test]
+    fn ring_capacity_is_capped() {
+        assert_eq!(ring_cells(0), 8);
+        assert_eq!(ring_cells(100), 128);
+        assert_eq!(ring_cells(usize::MAX), MAX_RING_CAPACITY);
+        assert_eq!(ring_cells(1 << 40), MAX_RING_CAPACITY);
+        // A huge configured ring allocates the cap, not the request.
+        let fr =
+            FlightRecorder::new(1, FlightConfig { ring_capacity: usize::MAX, ..capture_all() });
+        fr.begin_query(0);
+        fr.record(0, EventKind::CtaStep, 0, 1, 0, 1);
+        fr.on_complete(&record(1, 0, 50));
+        assert_eq!(fr.retained()[0].events.len(), 1);
+    }
+
+    #[test]
     fn begin_query_isolates_previous_occupant() {
         let fr = FlightRecorder::new(1, capture_all());
         fr.begin_query(0);
-        fr.record(0, EventKind::WorkStart, 9, 0, 0, 10);
-        fr.on_complete(0, QueryIds::local(1), 0, &lifecycle(30));
+        fr.record(0, EventKind::CtaStep, 0, 9, 0, 10);
+        fr.on_complete(&record(1, 0, 30));
         fr.begin_query(0);
-        fr.record(0, EventKind::WorkStart, 5, 0, 0, 50);
-        fr.on_complete(0, QueryIds::local(2), 0, &lifecycle(40));
+        fr.record(0, EventKind::CtaStep, 0, 5, 0, 50);
+        fr.on_complete(&record(2, 0, 40));
         let traces = fr.retained();
-        let second = traces.iter().find(|t| t.tag == 2).unwrap();
+        let second = traces.iter().find(|t| t.record.tag == 2).unwrap();
         assert_eq!(second.events.len(), 1, "previous query's events excluded");
-        assert_eq!(second.worker, 5);
+        assert_eq!(second.events[0].a, 5);
     }
 
     #[test]
@@ -681,12 +555,12 @@ mod tests {
             FlightConfig { ring_capacity: 16, slow_threshold_ns: 1_000, top_k: 0, sample_every: 0 };
         let fr = FlightRecorder::new(1, cfg);
         fr.begin_query(0);
-        fr.on_complete(0, QueryIds::local(1), 0, &lifecycle(999));
+        fr.on_complete(&record(1, 0, 999));
         assert!(fr.retained().is_empty(), "fast query must not be retained");
         fr.begin_query(0);
-        fr.on_complete(0, QueryIds::local(2), 0, &lifecycle(1_000));
+        fr.on_complete(&record(2, 0, 1_000));
         assert_eq!(fr.retained().len(), 1);
-        assert_eq!(fr.retained()[0].tag, 2);
+        assert_eq!(fr.retained()[0].record.tag, 2);
     }
 
     #[test]
@@ -700,9 +574,9 @@ mod tests {
         let fr = FlightRecorder::new(1, cfg);
         for (tag, e2e) in [(1u64, 500u64), (2, 300), (3, 800), (4, 100), (5, 600)] {
             fr.begin_query(0);
-            fr.on_complete(0, QueryIds::local(tag), 0, &lifecycle(e2e));
+            fr.on_complete(&record(tag, 0, e2e));
         }
-        let tags: Vec<u64> = fr.retained().iter().map(|t| t.tag).collect();
+        let tags: Vec<u64> = fr.retained().iter().map(|t| t.record.tag).collect();
         assert_eq!(tags, vec![3, 5], "slowest two, slowest first");
     }
 
@@ -717,9 +591,9 @@ mod tests {
         let fr = FlightRecorder::new(1, cfg);
         for tag in 1..=9u64 {
             fr.begin_query(0);
-            fr.on_complete(0, QueryIds::local(tag), 0, &lifecycle(50));
+            fr.on_complete(&record(tag, 0, 50));
         }
-        let mut tags: Vec<u64> = fr.retained().iter().map(|t| t.tag).collect();
+        let mut tags: Vec<u64> = fr.retained().iter().map(|t| t.record.tag).collect();
         tags.sort_unstable();
         assert_eq!(tags, vec![3, 6, 9]);
         assert_eq!(fr.totals().completions, 9);
@@ -733,26 +607,34 @@ mod tests {
             FlightConfig { ring_capacity: 16, slow_threshold_ns: 10, top_k: 4, sample_every: 1 };
         let fr = FlightRecorder::new(1, cfg);
         fr.begin_query(0);
-        fr.on_complete(0, QueryIds::local(77), 0, &lifecycle(999));
+        fr.on_complete(&record(77, 0, 999));
         assert_eq!(fr.retained().len(), 1);
         assert_eq!(fr.totals().retained, 1);
     }
 
     #[test]
     fn trace_json_carries_the_timeline() {
-        let fr = FlightRecorder::new(1, capture_all());
-        fr.begin_query(0);
-        fr.record(0, EventKind::BeamSwitch, 2, 14, 0, 130);
-        fr.on_complete(0, QueryIds { tag: 5, request_id: 9_001, conn: 3 }, 1, &lifecycle(60));
+        let fr = FlightRecorder::new(2, capture_all());
+        fr.begin_query(1);
+        fr.record(1, EventKind::BeamSwitch, 2, 14, 0, 130);
+        let r = QueryRecord { request_id: 9_001, conn_id: 3, ..record(5, 1, 60) };
+        fr.on_complete(&r);
         let text = traces_json(&fr.retained());
         let doc = Value::parse(&text).unwrap();
         let t = &doc.get("traces").unwrap().as_arr().unwrap()[0];
         assert_eq!(t.get("tag").unwrap().as_u64(), Some(5));
         assert_eq!(t.get("request_id").unwrap().as_u64(), Some(9_001));
         assert_eq!(t.get("conn").unwrap().as_u64(), Some(3));
-        assert_eq!(t.get("host").unwrap().as_u64(), Some(1));
+        for key in ["slot", "worker", "host"] {
+            assert_eq!(t.get(key).unwrap().as_u64(), Some(1), "{key} names the worker");
+        }
         assert_eq!(t.get("e2e_ns").unwrap().as_u64(), Some(60));
-        let ev = &t.get("events").unwrap().as_arr().unwrap()[0];
+        let lc = t.get("lifecycle_ns").unwrap();
+        assert_eq!(lc.get("merge_begin").unwrap().as_u64(), lc.get("finish").unwrap().as_u64());
+        assert_eq!(lc.get("delivered").unwrap().as_u64(), Some(160));
+        let events = t.get("events").unwrap().as_arr().unwrap();
+        assert_eq!(events.len(), 1, "lifecycle edges are not repeated as events");
+        let ev = &events[0];
         assert_eq!(ev.get("kind").unwrap().as_str(), Some("beam_switch"));
         assert_eq!(ev.get("lane").unwrap().as_u64(), Some(2));
         assert_eq!(ev.get("a").unwrap().as_u64(), Some(14));
@@ -760,12 +642,15 @@ mod tests {
 
     #[test]
     fn event_kind_roundtrips() {
+        let mut kinds = 0;
         for v in 0..=255u8 {
             if let Some(k) = EventKind::from_u8(v) {
                 assert_eq!(k as u8, v);
                 assert!(!k.name().is_empty());
+                kinds += 1;
             }
         }
+        assert_eq!(kinds, 4, "only intra-query step kinds remain");
         assert!(EventKind::from_u8(0).is_none());
         assert_eq!(EventKind::from_u8(11), Some(EventKind::ControlAdjust));
         assert!(EventKind::from_u8(12).is_none());

@@ -11,20 +11,21 @@
 //!   by the threaded runtime and the timing simulators. One table row
 //!   per metric drives its JSON serializer and parser and its
 //!   Prometheus text rendering.
-//! * [`recorder`] — the hot-path instrumentation
-//!   ([`RuntimeObs`], [`JobStamps`]). Behind the default-on `obs`
-//!   feature: compiled out, both become zero-sized no-ops and no clock
-//!   is read, so the serving loops carry zero instrumentation cost
-//!   while every call site stays `#[cfg]`-free.
+//! * [`recorder`] — the hot-path instrumentation ([`RuntimeObs`]).
+//!   Behind the default-on `obs` feature: compiled out, it becomes a
+//!   zero-sized no-op and no clock is read, so the serving loop
+//!   carries zero instrumentation cost while every call site stays
+//!   `#[cfg]`-free.
 //! * [`flight`] — the per-query layer: an always-on, lock-free
-//!   per-slot ring of timestamped trace events with tail-sampled
+//!   per-slot ring of the steps inside a query, with tail-sampled
 //!   slow-query retention ([`FlightRecorder`], [`QueryTrace`]).
 //! * [`chrome`] — Chrome trace-event JSON export of retained traces
 //!   (viewable in Perfetto) plus the validator CI runs on emitted
 //!   files.
-//! * [`qlog`] — the wide-event query log ([`QueryLog`]): one
-//!   structured record per completed query, written allocation-free
-//!   into a lock-free ring and drained as JSON lines.
+//! * [`qlog`] — the per-query record ([`QueryRecord`]) every
+//!   per-query surface reads, and the wide-event query log
+//!   ([`QueryLog`]) that writes it allocation-free into a lock-free
+//!   ring and drains it as JSON lines.
 //! * [`prof`] — the thread-state sampling profiler: runtime threads
 //!   publish a one-word state marker, a 97 Hz sampler accumulates the
 //!   (thread, state) attribution table, exported as folded-stack text
@@ -54,8 +55,8 @@ pub mod window;
 pub use chrome::{chrome_trace_json, validate_chrome_trace, ChromeSummary};
 pub use counters::{CachePadded, Counter};
 pub use flight::{
-    traces_json, EventKind, FlightConfig, FlightRecorder, FlightTotals, LifecycleNs, QueryIds,
-    QueryTrace, TraceEvent,
+    traces_json, EventKind, FlightConfig, FlightRecorder, FlightTotals, QueryTrace, TraceEvent,
+    MAX_RING_CAPACITY,
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use http::{StatsServer, StatsSource};
@@ -63,7 +64,7 @@ pub use prof::{
     ProfHandle, ProfRegistry, ProfState, ProfStateCount, ProfStats, ProfThreadStats,
     SharedProfRegistry, ThreadKind,
 };
-pub use qlog::{DeliveryCtx, QlogConfig, QlogRecord, QlogTotals, QueryLog};
-pub use recorder::{stamp, JobStamps, ObsTickConfig, RuntimeObs, Stamp, OBS_ENABLED};
+pub use qlog::{QlogConfig, QlogTotals, QueryLog, QueryRecord};
+pub use recorder::{ObsTickConfig, RuntimeObs, OBS_ENABLED};
 pub use snapshot::{HostStats, PhaseStats, RuntimeStats, SlotStats, TailExemplar, WorkerStats};
 pub use window::{WindowBlock, WindowRing, WindowStats};

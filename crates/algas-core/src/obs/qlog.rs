@@ -38,7 +38,8 @@ pub struct QlogConfig {
     /// `u64::MAX` disables the threshold.
     pub slow_threshold_ns: u64,
     /// Ring cells between the serving threads and the drainer (rounded
-    /// up to a power of two, minimum 8).
+    /// up to a power of two, clamped to
+    /// 8..=[`MAX_RING_CAPACITY`](super::flight::MAX_RING_CAPACITY)).
     pub ring_capacity: usize,
     /// Rendered JSON lines kept for `/query-log` (oldest evicted).
     pub retain: usize,
@@ -67,50 +68,16 @@ pub struct QlogTotals {
     pub drained: u64,
 }
 
-/// Per-delivery context the runtime hands the recorder alongside the
-/// lifecycle stamps: identity (tag + wire ids) and the per-query facts
-/// the wide event carries.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeliveryCtx {
-    /// Runtime-assigned tag (equals `request_id` for local submits).
-    pub tag: u64,
-    /// Wire request id (the id the client logged).
-    pub request_id: u64,
-    /// Server-side connection id (0 for local submits).
-    pub conn_id: u64,
-    /// Client-send timestamp (µs, client clock; 0 when not sent).
-    pub client_ts_us: u64,
-    /// Worker that searched the query (recorded into the job by the
-    /// worker loop).
-    pub worker: u32,
-    /// CTA search steps this query took (summed over CTAs).
-    pub hops: u32,
-    /// SLO controller rung at delivery (0 = full effort).
-    pub slo_level: u32,
-    /// Exact-rerank pool depth at delivery.
-    pub rerank_depth: u32,
-    /// Entry policy code (see [`entry_policy_name`]).
-    pub entry_code: u32,
-}
-
-impl DeliveryCtx {
-    /// Context of a local submit: the tag doubles as the request id
-    /// and the per-query facts default to zero.
-    pub fn local(tag: u64) -> Self {
-        Self { tag, request_id: tag, ..Self::default() }
-    }
-}
-
 /// Record status: the query was served.
-pub const STATUS_OK: u64 = 0;
+pub const STATUS_OK: u32 = 0;
 /// Record status: the query was rejected with backpressure
 /// (RETRY_AFTER / queue full).
-pub const STATUS_REJECTED: u64 = 1;
+pub const STATUS_REJECTED: u32 = 1;
 /// Record status: the request failed with a protocol error.
-pub const STATUS_ERROR: u64 = 2;
+pub const STATUS_ERROR: u32 = 2;
 
 /// Renders a record status code.
-pub fn status_name(code: u64) -> &'static str {
+pub fn status_name(code: u32) -> &'static str {
     match code {
         STATUS_OK => "ok",
         STATUS_REJECTED => "rejected",
@@ -143,118 +110,100 @@ pub fn entry_policy_name(code: u32) -> &'static str {
     }
 }
 
-/// Words per ring cell; one fixed-width slot per record field.
-const WORDS: usize = 18;
-
-/// One wide-event record, as the fixed word layout the ring carries.
+/// Everything the serving path knows about one query. The worker that
+/// serves the query fills it in as the query moves and hands it over
+/// once, at delivery; the phase histograms, the tail exemplar, the
+/// flight recorder's tail sampler and the query log all read this one
+/// record. A rejected query is the same record with
+/// [`STATUS_REJECTED`] and zero stamps.
+///
+/// The six stamps are nanoseconds since the recorder's epoch and never
+/// decrease, so the five spans between them add up to the end-to-end
+/// latency exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QlogRecord {
-    /// Wire request id (tag for local submits).
-    pub request_id: u64,
-    /// Runtime tag.
+pub struct QueryRecord {
+    /// Runtime-assigned tag (echoed in the query's
+    /// [`crate::runtime::SearchReply`]).
     pub tag: u64,
-    /// Connection id (0 = local).
+    /// Wire request id, the id the client logged (equals `tag` for
+    /// local submits).
+    pub request_id: u64,
+    /// Server-side connection id (0 for local submits).
     pub conn_id: u64,
     /// Client-send timestamp (µs, client clock; 0 when absent).
     pub client_ts_us: u64,
-    /// submit → slot span (queue wait), ns.
-    pub queue_ns: u64,
-    /// slot → work-start span, ns.
-    pub dispatch_ns: u64,
-    /// work-start → finish span (the search), ns.
-    pub search_ns: u64,
-    /// finish → merged span, ns.
-    pub merge_ns: u64,
-    /// merged → delivered span, ns.
-    pub deliver_ns: u64,
-    /// submit → delivered, ns.
-    pub e2e_ns: u64,
-    /// Slot that carried the query.
-    pub slot: u64,
-    /// Worker that searched it.
-    pub worker: u64,
-    /// Host poller that delivered it.
-    pub host: u64,
+    /// Accepted into the submission queue.
+    pub submitted_ns: u64,
+    /// The worker took the query and claimed its slot.
+    pub slot_ns: u64,
+    /// Search started.
+    pub work_start_ns: u64,
+    /// Search finished (`Work → Finish`); the merge begins here.
+    pub finish_ns: u64,
+    /// Merged TopK turned into the reply.
+    pub merged_ns: u64,
+    /// Reply handed to the client channel.
+    pub delivered_ns: u64,
+    /// Worker that served the query; its slot and flight ring share
+    /// the index.
+    pub worker: u32,
     /// CTA search steps (summed over CTAs).
-    pub hops: u64,
-    /// SLO controller rung at delivery.
-    pub slo_level: u64,
+    pub hops: u32,
+    /// SLO controller rung at delivery (0 = full effort).
+    pub slo_level: u32,
     /// Exact-rerank pool depth at delivery.
-    pub rerank_depth: u64,
+    pub rerank_depth: u32,
     /// Entry policy code ([`entry_policy_name`]).
-    pub entry_code: u64,
+    pub entry_code: u32,
     /// [`STATUS_OK`] / [`STATUS_REJECTED`] / [`STATUS_ERROR`].
-    pub status: u64,
+    pub status: u32,
 }
 
-impl QlogRecord {
-    fn to_words(self) -> [u64; WORDS] {
+impl QueryRecord {
+    /// Submission → delivery, ns.
+    pub fn e2e_ns(&self) -> u64 {
+        self.delivered_ns.saturating_sub(self.submitted_ns)
+    }
+
+    /// The five spans between consecutive stamps followed by the
+    /// end-to-end latency, in [`super::snapshot::PhaseStats::named`]
+    /// order.
+    pub fn phase_ns(&self) -> [u64; 6] {
         [
-            self.request_id,
-            self.tag,
-            self.conn_id,
-            self.client_ts_us,
-            self.queue_ns,
-            self.dispatch_ns,
-            self.search_ns,
-            self.merge_ns,
-            self.deliver_ns,
-            self.e2e_ns,
-            self.slot,
-            self.worker,
-            self.host,
-            self.hops,
-            self.slo_level,
-            self.rerank_depth,
-            self.entry_code,
-            self.status,
+            self.slot_ns.saturating_sub(self.submitted_ns),
+            self.work_start_ns.saturating_sub(self.slot_ns),
+            self.finish_ns.saturating_sub(self.work_start_ns),
+            self.merged_ns.saturating_sub(self.finish_ns),
+            self.delivered_ns.saturating_sub(self.merged_ns),
+            self.e2e_ns(),
         ]
     }
 
-    fn from_words(w: &[u64; WORDS]) -> Self {
-        Self {
-            request_id: w[0],
-            tag: w[1],
-            conn_id: w[2],
-            client_ts_us: w[3],
-            queue_ns: w[4],
-            dispatch_ns: w[5],
-            search_ns: w[6],
-            merge_ns: w[7],
-            deliver_ns: w[8],
-            e2e_ns: w[9],
-            slot: w[10],
-            worker: w[11],
-            host: w[12],
-            hops: w[13],
-            slo_level: w[14],
-            rerank_depth: w[15],
-            entry_code: w[16],
-            status: w[17],
-        }
-    }
-
-    /// Renders the record as one JSON object (one query-log line).
+    /// Renders the record as one JSON object (one query-log line). A
+    /// worker carries its query end to end, so `slot` and `host` both
+    /// name the worker.
     pub fn to_json_value(&self) -> Value {
+        let [queue, dispatch, search, merge, deliver, e2e] = self.phase_ns();
+        let worker = Value::Uint(u64::from(self.worker));
         obj(vec![
             ("request_id", Value::Uint(self.request_id)),
             ("tag", Value::Uint(self.tag)),
             ("conn", Value::Uint(self.conn_id)),
             ("client_ts_us", Value::Uint(self.client_ts_us)),
             ("status", Value::Str(status_name(self.status).to_string())),
-            ("queue_ns", Value::Uint(self.queue_ns)),
-            ("dispatch_ns", Value::Uint(self.dispatch_ns)),
-            ("search_ns", Value::Uint(self.search_ns)),
-            ("merge_ns", Value::Uint(self.merge_ns)),
-            ("deliver_ns", Value::Uint(self.deliver_ns)),
-            ("e2e_ns", Value::Uint(self.e2e_ns)),
-            ("slot", Value::Uint(self.slot)),
-            ("worker", Value::Uint(self.worker)),
-            ("host", Value::Uint(self.host)),
-            ("hops", Value::Uint(self.hops)),
-            ("entry", Value::Str(entry_policy_name(self.entry_code as u32).to_string())),
-            ("slo_level", Value::Uint(self.slo_level)),
-            ("rerank_depth", Value::Uint(self.rerank_depth)),
+            ("queue_ns", Value::Uint(queue)),
+            ("dispatch_ns", Value::Uint(dispatch)),
+            ("search_ns", Value::Uint(search)),
+            ("merge_ns", Value::Uint(merge)),
+            ("deliver_ns", Value::Uint(deliver)),
+            ("e2e_ns", Value::Uint(e2e)),
+            ("slot", worker.clone()),
+            ("worker", worker.clone()),
+            ("host", worker),
+            ("hops", Value::Uint(u64::from(self.hops))),
+            ("entry", Value::Str(entry_policy_name(self.entry_code).to_string())),
+            ("slo_level", Value::Uint(u64::from(self.slo_level))),
+            ("rerank_depth", Value::Uint(u64::from(self.rerank_depth))),
         ])
     }
 }
@@ -267,10 +216,58 @@ pub use disabled::QueryLog;
 
 #[cfg(feature = "obs")]
 mod enabled {
-    use super::{QlogConfig, QlogRecord, QlogTotals, STATUS_OK, WORDS};
+    use super::{QlogConfig, QlogTotals, QueryRecord, STATUS_OK};
+    use crate::obs::flight::ring_cells;
     use parking_lot::Mutex;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Words per ring cell; one fixed-width slot per record field.
+    const WORDS: usize = 16;
+
+    impl QueryRecord {
+        pub(super) fn to_words(self) -> [u64; WORDS] {
+            [
+                self.tag,
+                self.request_id,
+                self.conn_id,
+                self.client_ts_us,
+                self.submitted_ns,
+                self.slot_ns,
+                self.work_start_ns,
+                self.finish_ns,
+                self.merged_ns,
+                self.delivered_ns,
+                u64::from(self.worker),
+                u64::from(self.hops),
+                u64::from(self.slo_level),
+                u64::from(self.rerank_depth),
+                u64::from(self.entry_code),
+                u64::from(self.status),
+            ]
+        }
+
+        pub(super) fn from_words(w: &[u64; WORDS]) -> Self {
+            Self {
+                tag: w[0],
+                request_id: w[1],
+                conn_id: w[2],
+                client_ts_us: w[3],
+                submitted_ns: w[4],
+                slot_ns: w[5],
+                work_start_ns: w[6],
+                finish_ns: w[7],
+                merged_ns: w[8],
+                delivered_ns: w[9],
+                worker: w[10] as u32,
+                hops: w[11] as u32,
+                slo_level: w[12] as u32,
+                rerank_depth: w[13] as u32,
+                entry_code: w[14] as u32,
+                status: w[15] as u32,
+            }
+        }
+    }
 
     /// One ring cell: a sequence word (Vyukov protocol) plus the
     /// record's fixed word layout. `seq == index` means free for the
@@ -311,8 +308,7 @@ mod enabled {
         pub fn new(cfg: QlogConfig) -> Self {
             // A disabled log still constructs (the runtime owns one
             // unconditionally) but keeps the ring minimal.
-            let capacity =
-                if cfg.enabled { cfg.ring_capacity.next_power_of_two().max(8) } else { 8 };
+            let capacity = if cfg.enabled { ring_cells(cfg.ring_capacity) } else { 8 };
             let cells = (0..capacity as u64)
                 .map(|i| Cell {
                     seq: AtomicU64::new(i),
@@ -341,13 +337,13 @@ mod enabled {
         /// additionally log every `sample_every`th. Lock-free and
         /// allocation-free (the whole point).
         #[inline]
-        pub fn log(&self, r: &QlogRecord) {
+        pub fn log(&self, r: &QueryRecord) {
             if !self.cfg.enabled {
                 return;
             }
             let n = self.seen.fetch_add(1, Ordering::Relaxed) + 1;
             let sampled = self.cfg.sample_every > 0 && n.is_multiple_of(self.cfg.sample_every);
-            let slow = r.e2e_ns >= self.cfg.slow_threshold_ns;
+            let slow = r.e2e_ns() >= self.cfg.slow_threshold_ns;
             if r.status == STATUS_OK && !sampled && !slow {
                 return;
             }
@@ -413,7 +409,7 @@ mod enabled {
                 // Free the cell for the producer one lap ahead.
                 cell.seq.store(pos + self.mask + 1, Ordering::Release);
                 st.dequeue_pos = pos + 1;
-                let line = QlogRecord::from_words(&words).to_json_value().render();
+                let line = QueryRecord::from_words(&words).to_json_value().render();
                 if st.lines.len() >= self.cfg.retain.max(1) {
                     st.lines.pop_front();
                 }
@@ -454,7 +450,7 @@ mod enabled {
 
 #[cfg(not(feature = "obs"))]
 mod disabled {
-    use super::{QlogConfig, QlogRecord, QlogTotals};
+    use super::{QlogConfig, QlogTotals, QueryRecord};
 
     /// Zero-sized no-op stand-in for the query log.
     pub struct QueryLog;
@@ -472,7 +468,7 @@ mod disabled {
 
         /// No-op.
         #[inline]
-        pub fn log(&self, _r: &QlogRecord) {}
+        pub fn log(&self, _r: &QueryRecord) {}
 
         /// No-op; nothing to drain.
         pub fn drain(&self) -> usize {
@@ -504,21 +500,19 @@ mod tests {
         QlogConfig { enabled: true, sample_every: 1, ..QlogConfig::default() }
     }
 
-    fn rec(request_id: u64, e2e_ns: u64) -> QlogRecord {
-        QlogRecord {
-            request_id,
+    fn rec(request_id: u64, e2e_ns: u64) -> QueryRecord {
+        QueryRecord {
             tag: request_id + 100,
+            request_id,
             conn_id: 3,
             client_ts_us: 42,
-            queue_ns: 10,
-            dispatch_ns: 20,
-            search_ns: 500,
-            merge_ns: 30,
-            deliver_ns: 5,
-            e2e_ns,
-            slot: 1,
-            worker: 0,
-            host: 0,
+            submitted_ns: 0,
+            slot_ns: 10,
+            work_start_ns: 30,
+            finish_ns: e2e_ns.saturating_sub(35),
+            merged_ns: e2e_ns.saturating_sub(5),
+            delivered_ns: e2e_ns,
+            worker: 1,
             hops: 17,
             slo_level: 2,
             rerank_depth: 24,
@@ -530,7 +524,7 @@ mod tests {
     #[test]
     fn record_roundtrips_through_words_and_json() {
         let r = rec(9, 565);
-        assert_eq!(QlogRecord::from_words(&r.to_words()), r);
+        assert_eq!(QueryRecord::from_words(&r.to_words()), r);
         let doc = Value::parse(&r.to_json_value().render()).unwrap();
         assert_eq!(doc.get("request_id").unwrap().as_u64(), Some(9));
         assert_eq!(doc.get("conn").unwrap().as_u64(), Some(3));
@@ -539,6 +533,15 @@ mod tests {
         assert_eq!(doc.get("hops").unwrap().as_u64(), Some(17));
         assert_eq!(doc.get("slo_level").unwrap().as_u64(), Some(2));
         assert_eq!(doc.get("e2e_ns").unwrap().as_u64(), Some(565));
+        // The spans are the gaps between the stamps and add up to e2e.
+        let spans: Vec<u64> = ["queue_ns", "dispatch_ns", "search_ns", "merge_ns", "deliver_ns"]
+            .iter()
+            .map(|k| doc.get(k).unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(spans, [10, 20, 500, 30, 5]);
+        for key in ["slot", "worker", "host"] {
+            assert_eq!(doc.get(key).unwrap().as_u64(), Some(1), "{key} names the worker");
+        }
     }
 
     #[test]
@@ -573,7 +576,7 @@ mod tests {
             log.log(&rec(i, 10));
         }
         log.log(&rec(100, 5_000));
-        log.log(&QlogRecord { request_id: 200, status: STATUS_REJECTED, ..Default::default() });
+        log.log(&QueryRecord { request_id: 200, status: STATUS_REJECTED, ..Default::default() });
         log.drain();
         let lines = log.lines();
         let ids: Vec<u64> = lines
@@ -626,6 +629,19 @@ mod tests {
             .map(|l| Value::parse(l).unwrap().get("request_id").unwrap().as_u64().unwrap())
             .collect();
         assert_eq!(ids, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn ring_capacity_is_capped() {
+        // A configured capacity past the cap allocates the cap (and
+        // never overflows rounding up), so the ring fills at the cap.
+        let log = QueryLog::new(QlogConfig { ring_capacity: usize::MAX, ..cfg_all() });
+        let n = crate::obs::flight::MAX_RING_CAPACITY as u64;
+        for i in 0..n + 3 {
+            log.log(&rec(i, 50));
+        }
+        let t = log.totals();
+        assert_eq!((t.logged, t.dropped), (n, 3));
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl PhaseStats {
         ]
     }
 
-    fn named_mut(&mut self) -> [(&'static str, &mut HistogramSnapshot); 6] {
+    pub(crate) fn named_mut(&mut self) -> [(&'static str, &mut HistogramSnapshot); 6] {
         [
             ("submit_to_slot", &mut self.submit_to_slot),
             ("slot_to_work", &mut self.slot_to_work),

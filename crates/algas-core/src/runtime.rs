@@ -22,8 +22,8 @@
 
 use crate::engine::{AlgasEngine, SearchScratch};
 use crate::obs::{
-    self, DeliveryCtx, FlightConfig, JobStamps, ObsTickConfig, ProfHandle, ProfState, QlogConfig,
-    QlogTotals, QueryTrace, RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
+    self, FlightConfig, ObsTickConfig, ProfHandle, ProfState, QlogConfig, QlogTotals, QueryRecord,
+    QueryTrace, RuntimeObs, RuntimeStats, SharedProfRegistry, ThreadKind,
 };
 use crate::state::{AtomicSlotState, SlotState};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
@@ -95,16 +95,14 @@ pub struct SearchReply {
 }
 
 struct Job {
-    tag: u64,
     query: Vec<f32>,
     reply_to: Sender<SearchReply>,
+    /// The one clock read at submit: the service time counts from it,
+    /// and so does the record's `submitted_ns` stamp.
     submitted_at: std::time::Instant,
-    /// Lifecycle timestamps for the phase histograms (zero-sized no-op
-    /// when the `obs` feature is off).
-    stamps: JobStamps,
-    /// Wire identity for trace/query-log keying (request id = tag for
-    /// local submissions).
-    wire: WireCtx,
+    /// The query's record, holding its ids so far (request id = tag
+    /// for local submissions); the worker fills in the rest.
+    record: QueryRecord,
 }
 
 #[derive(Default)]
@@ -232,16 +230,7 @@ impl AlgasServer {
             submissions: submit_rx,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
-            // The snapshot schema keeps per-host blocks; worker `w`
-            // delivers its own results into block `w`.
-            obs: RuntimeObs::new(
-                cfg.n_workers,
-                cfg.n_workers,
-                cfg.n_workers,
-                cfg.flight,
-                cfg.qlog,
-                cfg.tick,
-            ),
+            obs: RuntimeObs::new(cfg.n_workers, cfg.flight, cfg.qlog, cfg.tick),
         });
 
         let mut threads: Vec<JoinHandle<()>> = (0..cfg.n_workers)
@@ -317,13 +306,18 @@ impl AlgasServer {
         };
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = unbounded();
+        let wire = wire.unwrap_or(WireCtx { request_id: tag, conn_id: 0, client_ts_us: 0 });
         let job = Job {
-            tag,
             query,
             reply_to: reply_tx,
             submitted_at: std::time::Instant::now(),
-            stamps: JobStamps::new(),
-            wire: wire.unwrap_or(WireCtx { request_id: tag, conn_id: 0, client_ts_us: 0 }),
+            record: QueryRecord {
+                tag,
+                request_id: wire.request_id,
+                conn_id: wire.conn_id,
+                client_ts_us: wire.client_ts_us,
+                ..QueryRecord::default()
+            },
         };
         // Count before enqueueing: a worker may serve the job before
         // `try_send` even returns, and `completed` must never pass
@@ -645,39 +639,40 @@ fn worker_loop(shared: &Shared, w: usize) {
 /// Serves one query on worker `w`, whose slot brackets the search
 /// (`Work`) and the delivery (`Finish`). The search leaves the merged
 /// (and, on a quantized engine, exactly re-ranked) TopK in
-/// `scratch.topk`, which becomes the reply.
-fn serve(shared: &Shared, w: usize, mut job: Job, scratch: &mut SearchScratch, prof: &ProfHandle) {
+/// `scratch.topk`, which becomes the reply. The query's record gets
+/// its stamps and facts as the query moves and reaches the recorder
+/// once, at delivery.
+fn serve(shared: &Shared, w: usize, job: Job, scratch: &mut SearchScratch, prof: &ProfHandle) {
+    let obs = &shared.obs;
     let slot = &shared.slots[w];
     let idle = slot.load();
-    job.stamps.mark_slot();
-    shared.obs.slot_assigned(w, w, &job.stamps);
+    let mut rec = job.record;
+    rec.worker = w as u32;
+    rec.submitted_ns = obs.ns_of(job.submitted_at);
+    rec.slot_ns = obs.begin_query(w);
     let flipped = slot.transition(idle, SlotState::Work);
     debug_assert!(flipped, "only this worker moves its slot");
 
     prof.stamp(ProfState::Scan);
-    job.stamps.mark_work_start();
+    rec.work_start_ns = obs.now_ns();
     let rerank_before = scratch.rerank;
     let merge_before = scratch.merge_stats();
     // Physical-id search; ids are translated to the caller's original
     // space exactly once, below.
-    shared.engine.search_physical_into(&job.query, job.tag, scratch);
-    job.stamps.mark_finish();
-    let rerank_delta = scratch.rerank.since(&rerank_before);
-    shared.obs.record_search(w, w, &scratch.multi);
-    shared.obs.record_rerank(w, &rerank_delta);
-    shared.obs.flight_search(w, w, &scratch.multi, &rerank_delta, &job.stamps);
+    shared.engine.search_physical_into(&job.query, rec.tag, scratch);
+    rec.finish_ns = obs.now_ns();
+    obs.record_search(w, &scratch.multi, &scratch.rerank.since(&rerank_before), &rec);
     let flipped = slot.transition(SlotState::Work, SlotState::Finish);
     debug_assert!(flipped, "only this worker moves its slot");
 
     prof.stamp(ProfState::Merge);
-    let picked_up = obs::stamp();
     shared.engine.index().externalize(&mut scratch.topk);
     let reply = SearchReply {
-        tag: job.tag,
+        tag: rec.tag,
         ids: scratch.topk.iter().map(|&(_, id)| id).collect(),
         distances: scratch.topk.iter().map(|&(d, _)| d.0).collect(),
     };
-    let merged_at = obs::stamp();
+    rec.merged_ns = obs.now_ns();
     prof.stamp(ProfState::Deliver);
     // Account the completed query before replying so a caller
     // observing the reply sees it counted.
@@ -687,10 +682,10 @@ fn serve(shared: &Shared, w: usize, mut job: Job, scratch: &mut SearchScratch, p
     shared.stats.completed.fetch_add(1, Ordering::Release);
     // Feed the SLO controller the submit→reply span it regulates. When
     // a cadence tick fires, stamp the decision into this slot's flight
-    // ring before the delivery events close the query's window.
+    // ring before the delivery closes the query's window.
     let controller = shared.engine.controller();
     if let Some(d) = controller.observe(service_ns) {
-        shared.obs.flight_record(
+        obs.flight_record(
             w,
             obs::flight::EventKind::ControlAdjust,
             w as u32,
@@ -701,27 +696,12 @@ fn serve(shared: &Shared, w: usize, mut job: Job, scratch: &mut SearchScratch, p
     // Telemetry lands before the reply too, so a client observing its
     // reply sees its query fully recorded (the delivery stamp marks the
     // send boundary).
-    let ctx = DeliveryCtx {
-        tag: job.tag,
-        request_id: job.wire.request_id,
-        conn_id: job.wire.conn_id,
-        client_ts_us: job.wire.client_ts_us,
-        worker: w as u32,
-        hops: scratch.multi.step_totals().steps.min(u64::from(u32::MAX)) as u32,
-        slo_level: controller.level(),
-        rerank_depth: shared.engine.rerank_depth().min(u32::MAX as usize) as u32,
-        entry_code: obs::qlog::entry_policy_code(&shared.engine.config().entry_policy),
-    };
-    shared.obs.record_delivery(
-        w,
-        w,
-        &ctx,
-        &job.stamps,
-        picked_up,
-        merged_at,
-        obs::stamp(),
-        &scratch.merge_stats().since(&merge_before),
-    );
+    rec.hops = scratch.multi.step_totals().steps.min(u64::from(u32::MAX)) as u32;
+    rec.slo_level = controller.level();
+    rec.rerank_depth = shared.engine.rerank_depth().min(u32::MAX as usize) as u32;
+    rec.entry_code = obs::qlog::entry_policy_code(&shared.engine.config().entry_policy);
+    rec.delivered_ns = obs.now_ns();
+    obs.record_delivery(&rec, &scratch.merge_stats().since(&merge_before));
     // The client may have dropped its receiver; fine.
     let _ = job.reply_to.send(reply);
     let flipped = slot.transition(SlotState::Finish, SlotState::Done);
@@ -765,6 +745,51 @@ mod tests {
             RuntimeConfig { n_workers: workers, queue_capacity: 256, ..Default::default() },
         );
         (server, ds, oracle)
+    }
+
+    /// Asserts a record's six stamps never decrease.
+    #[cfg(feature = "obs")]
+    fn assert_monotone(r: &QueryRecord) {
+        let stamps =
+            [r.submitted_ns, r.slot_ns, r.work_start_ns, r.finish_ns, r.merged_ns, r.delivered_ns];
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{} runs backwards: {stamps:?}", r.tag);
+    }
+
+    /// A server that retains every trace and logs every query.
+    #[cfg(feature = "obs")]
+    fn recording_server(
+        workers: usize,
+        ring_capacity: usize,
+    ) -> (AlgasServer, algas_vector::datasets::GeneratedDataset) {
+        let ds = DatasetSpec::tiny(500, 12, Metric::L2, 31).generate();
+        let index = AlgasIndex::build_cagra(ds.base.clone(), Metric::L2, CagraParams::default());
+        let cfg =
+            EngineConfig { k: 8, l: 32, slots: 2, beam: BeamMode::Auto, ..Default::default() };
+        let server = AlgasServer::start(
+            AlgasEngine::new(index, cfg).unwrap(),
+            RuntimeConfig {
+                n_workers: workers,
+                queue_capacity: 256,
+                flight: FlightConfig { ring_capacity, slow_threshold_ns: 0, ..Default::default() },
+                qlog: QlogConfig { enabled: true, ..Default::default() },
+                ..Default::default()
+            },
+        );
+        (server, ds)
+    }
+
+    /// `(request_id, line)` for every retained query-log line.
+    #[cfg(feature = "obs")]
+    fn qlog_by_id(server: &AlgasServer) -> Vec<(u64, crate::obs::json::Value)> {
+        use crate::obs::json::Value;
+        server
+            .qlog_lines()
+            .iter()
+            .map(|l| {
+                let v = Value::parse(l).expect("query-log line parses");
+                (v.get("request_id").and_then(Value::as_u64).unwrap(), v)
+            })
+            .collect()
     }
 
     #[test]
@@ -993,21 +1018,11 @@ mod tests {
         let traces = server.flight_traces();
         assert!(!traces.is_empty(), "threshold 0 must retain queries");
         for t in &traces {
-            let kinds: Vec<EventKind> = t.events.iter().map(|e| e.kind).collect();
-            for k in [
-                EventKind::Enqueued,
-                EventKind::Assigned,
-                EventKind::WorkStart,
-                EventKind::CtaStep,
-                EventKind::Finish,
-                EventKind::MergeBegin,
-                EventKind::MergeEnd,
-                EventKind::Delivered,
-            ] {
-                assert!(kinds.contains(&k), "trace {} missing {}", t.tag, k.name());
-            }
+            // The ring holds the steps inside the query; its lifecycle
+            // comes from the record.
+            assert!(t.events.iter().any(|e| e.kind == EventKind::CtaStep), "{}", t.record.tag);
             assert!(t.e2e_ns() > 0);
-            assert!(t.lifecycle.delivered_ns >= t.lifecycle.submitted_ns);
+            assert_monotone(&t.record);
         }
         // The whole pipeline round-trips: ring -> retained -> Chrome
         // JSON -> validator, with all six lifecycle phases as spans.
@@ -1049,8 +1064,9 @@ mod tests {
         let traces = server.flight_traces();
         assert!(!traces.is_empty());
         for t in &traces {
-            assert!((5_000..5_004).contains(&t.request_id), "trace keyed by {}", t.request_id);
-            assert_eq!(t.conn, 7);
+            let id = t.record.request_id;
+            assert!((5_000..5_004).contains(&id), "trace keyed by {id}");
+            assert_eq!(t.record.conn_id, 7);
         }
         // So is every query-log line, with real phase spans.
         let lines = server.qlog_lines();
@@ -1075,6 +1091,68 @@ mod tests {
         let v = Value::parse(&line).unwrap();
         assert_eq!(v.get("request_id").and_then(Value::as_u64), Some(tag));
         assert_eq!(v.get("conn").and_then(Value::as_u64), Some(0));
+        server.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn every_record_partitions_e2e_and_never_runs_backwards() {
+        let (server, ds) = recording_server(2, 1024);
+        let batch = (0..24).map(|i| ds.queries.get(i % ds.queries.len()).to_vec());
+        for (_, rx) in server.submit_batch(batch).unwrap() {
+            rx.recv().unwrap();
+        }
+        let lines = qlog_by_id(&server);
+        assert_eq!(lines.len(), 24);
+        for (id, v) in &lines {
+            let get = |k: &str| v.get(k).and_then(crate::obs::json::Value::as_u64).unwrap();
+            let spans: u64 = ["queue_ns", "dispatch_ns", "search_ns", "merge_ns", "deliver_ns"]
+                .into_iter()
+                .map(get)
+                .sum();
+            assert_eq!(spans, get("e2e_ns"), "request {id}: spans must add up to e2e exactly");
+            assert!(get("worker") < 2 && get("worker") == get("host"), "request {id}");
+        }
+        let traces = server.flight_traces();
+        assert!(!traces.is_empty());
+        for t in &traces {
+            assert_monotone(&t.record);
+        }
+        server.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn retained_trace_names_its_worker_after_its_ring_overflowed() {
+        // An 8-cell ring holds far fewer events than one query writes,
+        // so every trace loses its oldest events; the worker must still
+        // come out right because it comes from the record.
+        let (server, ds) = recording_server(2, 8);
+        // Concurrent batches until the query log shows worker 1 served
+        // something, so a trace that blames worker 0 by default is
+        // caught. The slow bucket keeps 64 traces, so at most 60
+        // queries keep them all.
+        let worker_of = |v: &crate::obs::json::Value| v.get("worker").and_then(|w| w.as_u64());
+        let mut lines = Vec::new();
+        for _ in 0..10 {
+            let batch = (0..6).map(|i| ds.queries.get(i % ds.queries.len()).to_vec());
+            for (_, rx) in server.submit_batch(batch).unwrap() {
+                rx.recv().unwrap();
+            }
+            lines = qlog_by_id(&server);
+            if lines.iter().any(|(_, v)| worker_of(v) == Some(1)) {
+                break;
+            }
+        }
+        assert!(lines.iter().any(|(_, v)| worker_of(v) == Some(1)), "worker 1 never served");
+        let traces = server.flight_traces();
+        assert_eq!(traces.len(), lines.len(), "every query is retained");
+        for t in &traces {
+            let id = t.record.request_id;
+            let (_, line) = lines.iter().find(|(i, _)| *i == id).expect("query-log line");
+            assert_eq!(Some(u64::from(t.record.worker)), worker_of(line), "request {id}");
+            assert!(t.dropped > 0, "request {id}: an 8-cell ring must overflow");
+        }
         server.shutdown();
     }
 

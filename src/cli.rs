@@ -511,10 +511,16 @@ fn start_server_from_flags(
 /// `--trace-*` flags: `--trace-threshold-us` retains every query at
 /// least that slow (unset disables the threshold), `--trace-top` the
 /// K slowest seen (default 8), `--trace-sample` every Nth completion,
-/// `--trace-ring` the per-slot event-ring depth.
+/// `--trace-ring` the per-slot event-ring depth (at most
+/// [`MAX_RING_CAPACITY`](algas_core::obs::MAX_RING_CAPACITY) events).
 fn flight_from_flags(flags: &HashMap<String, String>) -> Result<FlightConfig, String> {
+    let ring_capacity = opt_parse(flags, "trace-ring", 1024usize)?;
+    let max_ring = algas_core::obs::MAX_RING_CAPACITY;
+    if ring_capacity > max_ring {
+        return Err(format!("--trace-ring must be at most {max_ring} events"));
+    }
     Ok(FlightConfig {
-        ring_capacity: opt_parse(flags, "trace-ring", 1024usize)?,
+        ring_capacity,
         slow_threshold_ns: match flags.get("trace-threshold-us") {
             None => u64::MAX,
             Some(v) => v
@@ -1791,6 +1797,10 @@ mod tests {
         assert!(serve(&["--slots", "0"]).contains("at least one slot"));
         assert!(serve(&["--l", "4", "--k", "10"]).contains("0 < k <= L"));
         assert!(serve(&["--k", "0"]).contains("0 < k <= L"));
+        let too_deep = (algas_core::obs::MAX_RING_CAPACITY + 1).to_string();
+        for ring in [too_deep.as_str(), "1099511627776", &usize::MAX.to_string()] {
+            assert!(serve(&["--trace-ring", ring]).contains("--trace-ring must be at most"));
+        }
         let search = ["search", "--index", &index, "--queries", &queries, "--slots", "0"];
         let args: Vec<String> = search.iter().map(|s| s.to_string()).collect();
         assert!(run(&args, &mut Vec::new()).unwrap_err().contains("at least one slot"));

@@ -155,9 +155,9 @@ fn wire_request_ids_resolve_to_flight_traces_and_query_log_lines() {
         let id = BASE_ID + i as u64;
         let t = traces
             .iter()
-            .find(|t| t.request_id == id)
+            .find(|t| t.record.request_id == id)
             .unwrap_or_else(|| panic!("request {id:#x} has no flight trace"));
-        assert_eq!(t.conn, 1, "trace attributed to the accepting connection");
+        assert_eq!(t.record.conn_id, 1, "trace attributed to the accepting connection");
         assert!(t.e2e_ns() > 0);
         assert!(doc.contains(&format!("\"request_id\":{id}")), "{id} missing from /traces");
     }
@@ -282,6 +282,39 @@ fn bad_search_payload_is_recoverable_on_the_same_connection() {
     // Same connection keeps working.
     match client.search(2, stack.queries.get(1)).expect("follow-up search") {
         Reply::Result { request_id, .. } => assert_eq!(request_id, 2),
+        other => panic!("expected RESULT, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_finite_search_vectors_get_an_error_frame_and_the_connection_survives() {
+    let stack = start_stack(Stack::default_runtime(), NetConfig::default());
+    let mut client = stack.client();
+    let dim = stack.queries.dim();
+    let mut id = 0;
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        // All-bad and one-bad-component vectors are both refused.
+        let mut one_bad = stack.queries.get(0).to_vec();
+        one_bad[dim / 2] = bad;
+        for query in [vec![bad; dim], one_bad] {
+            id += 1;
+            client.send_search(id, &query).expect("send non-finite query");
+            match client.recv().expect("error reply") {
+                Reply::Error { request_id, code, .. } => {
+                    assert_eq!(request_id, id);
+                    assert_eq!(code, frame::ErrorCode::BadPayload as u16, "{bad} refused");
+                }
+                other => panic!("expected ERROR for {bad}, got {other:?}"),
+            }
+        }
+    }
+    // The same connection still answers a valid SEARCH.
+    match client.search(100, stack.queries.get(1)).expect("follow-up search") {
+        Reply::Result { request_id, ids, distances } => {
+            assert_eq!(request_id, 100);
+            assert!(!ids.is_empty());
+            assert!(distances.iter().all(|d| d.is_finite()));
+        }
         other => panic!("expected RESULT, got {other:?}"),
     }
 }

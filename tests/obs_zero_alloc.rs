@@ -1,9 +1,10 @@
 //! Pins the zero-allocation invariant for the serving-path telemetry:
-//! every operation the hot path performs — phase stamps, histogram
-//! records, per-worker/host/slot counter bumps, flight-recorder event
-//! writes (including ring overwrite), the full delivery-accounting
-//! call including its wide-event query-log write (both the accepted
-//! and the ring-full drop path), thread-state profiler marker stamps,
+//! every operation the hot path performs — record stamps, histogram
+//! records, per-worker counter bumps, flight-recorder event writes
+//! (including ring overwrite), the full delivery-accounting call on
+//! the query's record including its wide-event query-log write (both
+//! the accepted and the ring-full drop path), thread-state profiler
+//! marker stamps,
 //! profiler sampling passes, and window-ring rotation — must never
 //! touch the heap.
 //! Snapshotting ([`RuntimeObs::populate`]), trace capture (retention),
@@ -17,10 +18,11 @@
 //! per-binary).
 #![cfg(feature = "obs")]
 
+use algas::core::engine::RerankStats;
 use algas::core::merge::MergeStats;
 use algas::core::obs::{
-    stamp, DeliveryCtx, EventKind, FlightConfig, Histogram, JobStamps, ObsTickConfig, ProfHandle,
-    ProfState, QlogConfig, RuntimeObs, ThreadKind,
+    EventKind, FlightConfig, Histogram, ObsTickConfig, ProfHandle, ProfState, QlogConfig,
+    QueryRecord, RuntimeObs, ThreadKind,
 };
 use algas::core::tracer::{StepStats, StepTotals};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,9 +52,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One simulated query's worth of instrumentation, exactly as the
-/// runtime issues it: stamps on the submit/refill/worker/host path,
-/// flight-recorder events (the small ring below forces overwrite),
-/// then search accounting, then delivery accounting.
+/// worker issues it: the query's record stamped as it moves, the
+/// flight-recorder step events (the small ring below forces
+/// overwrite), search accounting, then the one delivery call.
 fn instrument_one_query(
     obs: &RuntimeObs,
     hist: &Histogram,
@@ -60,43 +62,39 @@ fn instrument_one_query(
     prof: &ProfHandle,
     q: u64,
 ) {
-    let s = (q % 4) as usize;
+    let w = (q % 4) as usize;
     // Thread-state markers bracket the pass exactly as the worker loop
     // stamps them: one relaxed store each.
     prof.stamp(ProfState::Scan);
-    let mut stamps = JobStamps::new();
-    stamps.mark_slot();
-    obs.slot_assigned(0, s, &stamps);
-    stamps.mark_work_start();
-    obs.flight_record(s, EventKind::WorkStart, (q % 2) as u32, 0, 0);
-    for c in 0..3u32 {
-        obs.flight_record(s, EventKind::CtaStep, c, 60, 1_000);
-    }
-    obs.flight_record(s, EventKind::BeamSwitch, 0, 2, 0);
-    obs.record_search_totals((q % 2) as usize, s, totals);
-    stamps.mark_finish();
-    obs.flight_record(s, EventKind::Finish, (q % 2) as u32, 0, 0);
-    obs.worker_pass((q % 2) as usize, true);
-    let picked_up = stamp();
-    let merged_at = stamp();
-    let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
-    // Delivery accounting now also writes the wide-event query-log
-    // record (wire identity + per-query facts) into its ring — that
-    // write rides the same zero-allocation budget.
-    let ctx = DeliveryCtx {
+    // The record carries the wire identity and per-query facts the
+    // query-log write renders later.
+    let mut rec = QueryRecord {
+        tag: q,
         request_id: q + 0x1000,
         conn_id: 1 + q % 3,
         client_ts_us: 40 + q,
-        worker: (q % 2) as u32,
+        worker: w as u32,
         hops: 17,
         slo_level: 1,
         rerank_depth: 32,
         entry_code: 2,
-        ..DeliveryCtx::local(q)
+        ..QueryRecord::default()
     };
+    rec.submitted_ns = obs.now_ns();
+    rec.slot_ns = obs.begin_query(w);
+    rec.work_start_ns = obs.now_ns();
+    for c in 0..3u32 {
+        obs.flight_record(w, EventKind::CtaStep, c, 60, 1_000);
+    }
+    obs.flight_record(w, EventKind::BeamSwitch, 0, 2, 0);
+    obs.record_search_totals(w, totals, &RerankStats { reranks: 1, candidates: 20, promotions: 2 });
+    rec.finish_ns = obs.now_ns();
+    rec.merged_ns = obs.now_ns();
+    let delta = MergeStats { merges: 1, elements: 64, dupes_dropped: 3 };
     prof.stamp(ProfState::Publish);
-    obs.record_delivery(0, s, &ctx, &stamps, picked_up, merged_at, stamp(), &delta);
-    obs.host_pass(0, q.is_multiple_of(3));
+    rec.delivered_ns = obs.now_ns();
+    obs.record_delivery(&rec, &delta);
+    obs.worker_pass(w, q.is_multiple_of(3));
     hist.record(1 + q * 17);
     // The obs tick thread's work rides the same budget: a profiler
     // sampling pass over every registered marker, and (each 8th
@@ -111,8 +109,9 @@ fn instrument_one_query(
 #[test]
 fn telemetry_hot_path_allocates_nothing() {
     // Retention disabled: the fast path of the tail sampler is the
-    // whole path. Capacity 16 with ~10 events/query forces constant
-    // ring overwrite inside the measured region.
+    // whole path. Capacity 16 with 4 events/query wraps each worker's
+    // ring every 4 of its queries, so the measured region overwrites
+    // cells constantly.
     let flight =
         FlightConfig { ring_capacity: 16, slow_threshold_ns: u64::MAX, top_k: 0, sample_every: 0 };
     // Query log armed with a deliberately small ring and no drainer
@@ -120,7 +119,7 @@ fn telemetry_hot_path_allocates_nothing() {
     // and the ring-full drop path, neither of which may allocate
     // (rendering to JSON lines happens on the control path, in drain).
     let qlog = QlogConfig { enabled: true, ring_capacity: 64, ..Default::default() };
-    let obs = RuntimeObs::new(4, 2, 1, flight, qlog, ObsTickConfig::default());
+    let obs = RuntimeObs::new(4, flight, qlog, ObsTickConfig::default());
     // Registration allocates (label copy) — setup, not hot path.
     let prof = obs.prof_registry().register(ThreadKind::Worker, "worker-0");
     let hist = Histogram::new();
@@ -167,14 +166,14 @@ fn telemetry_hot_path_allocates_nothing() {
     let total = 64 + 512 * counts.len() as u64;
     let snap = hist.snapshot();
     assert_eq!(snap.count, total);
-    let mut stats = algas::core::obs::RuntimeStats::empty(4, 2, 1);
+    let mut stats = algas::core::obs::RuntimeStats::empty(4, 4, 4);
     obs.populate(&mut stats);
     assert_eq!(stats.phases.end_to_end.count, total);
     assert_eq!(stats.per_slot.iter().map(|s| s.delivered).sum::<u64>(), total);
     assert_eq!(stats.merge.elements, 64 * total);
-    // Flight totals: 11 ring events per query, none retained.
+    // Flight totals: 4 ring events per query, none retained.
     assert_eq!(stats.flight.completions, total);
-    assert_eq!(stats.flight.events, 11 * total);
+    assert_eq!(stats.flight.events, 4 * total);
     assert_eq!(stats.flight.retained, 0);
     assert!(obs.flight_retained().is_empty());
     // Query log: every delivery attempted a record; the undrained ring
